@@ -160,56 +160,96 @@ def enforce_domain_constraint(matrix: np.ndarray, topology: Topology,
     distinct disks that stay within the per-rack budget.  With
     ``limit is None`` the matrix is returned untouched, so flat configs
     and all golden pins are unaffected.
+
+    The walk runs over one batched ``candidate_prefixes`` call for all
+    violating rows; a row the prefix cannot settle is re-walked from
+    scratch by :func:`_constrained_row`.  Both give the same row.
     """
     if limit is None or matrix.size == 0:
         return matrix
     n = matrix.shape[1]
-    rack_arr = topology.rack_array()
-    racks_mat = rack_arr[matrix]
     if limit >= n:
         return matrix
+    rack_arr = topology.rack_array()
+    racks_mat = rack_arr[matrix]
     # A rack exceeds the limit iff a sorted row has limit+1 equal
     # consecutive entries.
     srt = np.sort(racks_mat, axis=1)
-    bad = (srt[:, limit:] == srt[:, :-limit]).any(axis=1)
-    for g in np.flatnonzero(bad):
-        matrix[g] = _constrained_row(int(g), n, topology, limit, placement)
+    bad = np.flatnonzero((srt[:, limit:] == srt[:, :-limit]).any(axis=1))
+    if bad.size == 0:
+        return matrix
+    racks = rack_arr.tolist()
+    total = placement.n_disks
+    # 4n covers the walk's first two doublings, enough for nearly every
+    # row; the rest fall back to the scalar walk.
+    prefixes = placement.candidate_prefixes(bad, min(4 * n, total))
+    for g, prefix in zip(bad, prefixes):
+        row = _prefix_row(prefix, n, total, racks, limit)
+        if row is None:
+            row = _constrained_row(int(g), n, topology, limit, placement,
+                                   racks)
+        matrix[g] = row
     return matrix
 
 
+def _admit(cands: Iterable[int], n: int, racks: Sequence[int], limit: int,
+           chosen: list[int], counts: dict[int, int]) -> bool:
+    """Walk ``cands`` in order, keeping each unchosen disk whose rack is
+    still under budget; True as soon as ``chosen`` holds n disks."""
+    for d in cands:
+        r = racks[d]
+        if d in chosen or counts.get(r, 0) >= limit:
+            continue
+        chosen.append(d)
+        counts[r] = counts.get(r, 0) + 1
+        if len(chosen) == n:
+            return True
+    return False
+
+
+def _prefix_row(prefix: list[int], n: int, total: int, racks: Sequence[int],
+                limit: int) -> list[int] | None:
+    """The row :func:`_constrained_row` picks, if ``prefix`` settles it.
+
+    Follows the same schedule of candidate counts (n, 2n, 4n, ... capped
+    at ``total``) and stops at the first count the prefix cannot cover,
+    so an accepted row is one the scalar walk reaches too.
+    """
+    chosen: list[int] = []
+    counts: dict[int, int] = {}
+    start, want = 0, n
+    while want <= len(prefix):
+        if _admit(prefix[start:want], n, racks, limit, chosen, counts):
+            return chosen
+        if want == total:
+            break
+        start, want = want, min(want * 2, total)
+    return None
+
+
 def _constrained_row(grp_id: int, n: int, topology: Topology, limit: int,
-                     placement: PlacementAlgorithm) -> list[int]:
+                     placement: PlacementAlgorithm,
+                     racks: Sequence[int]) -> list[int]:
     """First n distinct disks of the group's candidate walk within budget."""
     chosen: list[int] = []
     counts: dict[int, int] = {}
-
-    def admit(d: int) -> bool:
-        if d in chosen:
-            return False
-        r = topology.rack_of(d)
-        if counts.get(r, 0) >= limit:
-            return False
-        chosen.append(d)
-        counts[r] = counts.get(r, 0) + 1
-        return True
-
     want = n
-    while len(chosen) < n and want <= placement.n_disks:
+    while want <= placement.n_disks:
         try:
             cands = placement.candidates(grp_id, want)
         except PlacementError:
             break
-        for d in cands:
-            if admit(d) and len(chosen) == n:
-                return chosen
+        # Re-walking the earlier prefix admits nothing new: its disks
+        # are chosen already or their racks are still full.
+        if _admit(cands, n, racks, limit, chosen, counts):
+            return chosen
         if want == placement.n_disks:
             break
         want = min(want * 2, placement.n_disks)
     # Deterministic fallback: linear scan (feasibility is validated by
     # SystemConfig.__post_init__, so this always completes the row).
-    for d in range(placement.n_disks):
-        if admit(d) and len(chosen) == n:
-            return chosen
+    if _admit(range(placement.n_disks), n, racks, limit, chosen, counts):
+        return chosen
     raise PlacementError(
         f"group {grp_id}: cannot satisfy max {limit} blocks/rack with "
         f"{placement.n_disks} disks in {topology.racks} racks")

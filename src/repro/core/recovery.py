@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import insort
 from dataclasses import dataclass, field
 
 from ..availability.luby import check_repair_lane
@@ -210,9 +211,11 @@ class RecoveryManager(ABC):
         self._deferred: dict[tuple[int, int], DeferredRebuild] = {}
         # Lazy-recovery policy (recovery_threshold > 1): rebuilds held
         # back until the group accumulates >= r missing blocks, keyed
-        # (grp_id, rep_id) -> failure time.  Empty forever at the default
-        # threshold of 1, where dispatch short-circuits to the eager path.
-        self._held: dict[tuple[int, int], float] = {}
+        # grp_id -> [(rep_id, failure time)] sorted by rep_id, so a
+        # release or a loss touches only its own group.  Empty forever at
+        # the default threshold of 1, where dispatch short-circuits to the
+        # eager path.
+        self._held: dict[int, list[tuple[int, float]]] = {}
         # Open per-group unavailability spans: grp_id -> degraded-since.
         self._degraded_since: dict[int, float] = {}
         # A rate-limited repair lane too narrow for its own failure
@@ -391,7 +394,7 @@ class RecoveryManager(ABC):
             return
         fresh: dict[int, RedundancyGroup] = {}
         for group, rep in losses:
-            self._held[(group.grp_id, rep)] = now
+            insort(self._held.setdefault(group.grp_id, []), (rep, now))
             fresh.setdefault(group.grp_id, group)
         queue: RepairPriorityQueue = RepairPriorityQueue()
         released: set[int] = set()
@@ -414,10 +417,9 @@ class RecoveryManager(ABC):
         grp_id = group.grp_id
         surviving = max(0, group.scheme.tolerance
                         - self._missing_count(group))
-        for key in sorted(k for k in self._held if k[0] == grp_id):
-            failed_at = self._held.pop(key)
-            queue.push(RepairPriority(surviving, failed_at, grp_id, key[1]),
-                       (group, key[1], failed_at))
+        for rep, failed_at in self._held.pop(grp_id):
+            queue.push(RepairPriority(surviving, failed_at, grp_id, rep),
+                       (group, rep, failed_at))
 
     def _release_queue(self, queue: RepairPriorityQueue,
                        now: float) -> None:
@@ -432,13 +434,12 @@ class RecoveryManager(ABC):
 
     def _drop_held(self, grp_id: int) -> None:
         """Forget held rebuilds of a group that just lost data."""
-        for key in [k for k in self._held if k[0] == grp_id]:
-            del self._held[key]
+        self._held.pop(grp_id, None)
 
     @property
     def held_outstanding(self) -> int:
         """Rebuilds currently parked by the lazy-recovery trigger."""
-        return len(self._held)
+        return sum(len(reps) for reps in self._held.values())
 
     # -- unavailability spans ------------------------------------------------ #
     def _note_degraded(self, group: RedundancyGroup, now: float) -> None:
@@ -667,10 +668,8 @@ class RecoveryManager(ABC):
         # until a readable source returns — the retry queue drains them).
         if self.config.recovery_threshold > 1 and self._held:
             queue: RepairPriorityQueue = RepairPriorityQueue()
-            touched: dict[int, RedundancyGroup] = {}
-            for grp_id, _rep in self._held:
-                touched.setdefault(grp_id, self.system.groups[grp_id])
-            for group in touched.values():
+            touched = [self.system.groups[g] for g in self._held]
+            for group in touched:
                 if (self._missing_count(group)
                         >= self.config.recovery_threshold):
                     self._collect_held(group, queue)

@@ -11,6 +11,7 @@ can go").
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Iterator
 
 import numpy as np
 
@@ -48,3 +49,23 @@ class PlacementAlgorithm(ABC):
         """
         return np.array([self.place_group(int(g), n) for g in grp_ids],
                         dtype=np.int64)
+
+    def candidate_prefixes(self, grp_ids: np.ndarray,
+                           k: int) -> Iterator[list[int]]:
+        """Yield a prefix of at most ``k`` candidates for each group.
+
+        Row ``i`` equals ``candidates(grp_ids[i], m)`` for its own length
+        ``m``, and ``candidates`` succeeds for every count up to ``m``.  A
+        row may be shorter than ``k`` (empty when the scalar path fails);
+        callers that need more fall back to :meth:`candidates`.  Rows are
+        produced one at a time, so a large batch never holds them all.
+        The default implementation loops; subclasses override with a
+        vectorized path.
+        """
+        k = min(k, self.n_disks)
+        for g in grp_ids:
+            try:
+                row = self.candidates(int(g), k)
+            except PlacementError:
+                row = []
+            yield row

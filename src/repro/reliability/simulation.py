@@ -20,6 +20,7 @@ Mechanics per run:
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Protocol
 
@@ -156,8 +157,10 @@ class ReliabilitySimulation:
         self._degraded = 0
         #: Lazy-recovery threshold (1 = eager, the bit-identical default).
         self._lazy_r = config.recovery_threshold
-        #: held rebuilds (lazy policy): (g, rep) -> (failed_at, origin).
-        self._held: dict[tuple[int, int], tuple[float, int]] = {}
+        #: held rebuilds (lazy policy): g -> [(rep, failed_at, origin)]
+        #: sorted by rep, so a release or a loss touches only its own
+        #: group's entries (a list, not a dict: most groups hold one).
+        self._held: dict[int, list[tuple[int, float, int]]] = {}
         #: open per-group unavailability spans: g -> degraded-since.
         self._degraded_since: dict[int, float] = {}
         # Reject a rate-limited repair lane that cannot keep up with its
@@ -376,8 +379,7 @@ class ReliabilitySimulation:
                 if self.stats.first_loss_time is None:
                     self.stats.first_loss_time = now
                 self._degraded_since.pop(g, None)
-                for key in [k for k in self._held if k[0] == g]:
-                    del self._held[key]
+                self._held.pop(g, None)
                 if tele is not None:
                     tele.group_lost(g)
                 for job in list(self._jobs_by_group.get(g, ())):
@@ -426,7 +428,7 @@ class ReliabilitySimulation:
         fresh: list[int] = []
         seen: set[int] = set()
         for g, rep in losses:
-            self._held[(g, rep)] = (now, origin)
+            insort(self._held.setdefault(g, []), (rep, now, origin))
             if g not in seen:
                 seen.add(g)
                 fresh.append(g)
@@ -445,10 +447,9 @@ class ReliabilitySimulation:
 
     def _collect_held(self, g: int, queue: RepairPriorityQueue) -> None:
         surviving = max(0, self.tol - int(self.failed_count[g]))
-        for key in sorted(k for k in self._held if k[0] == g):
-            failed_at, origin = self._held.pop(key)
-            queue.push(RepairPriority(surviving, failed_at, g, key[1]),
-                       (key[1], failed_at, origin))
+        for rep, failed_at, origin in self._held.pop(g):
+            queue.push(RepairPriority(surviving, failed_at, g, rep),
+                       (rep, failed_at, origin))
 
     def _release_queue(self, queue: RepairPriorityQueue,
                        now: float) -> None:
@@ -948,7 +949,8 @@ class ReliabilitySimulation:
             deferred=sorted((g, rep, a)
                             for (g, rep), a in self._deferred.items()),
             lazy_held=sorted((g, rep, fa, o)
-                             for (g, rep), (fa, o) in self._held.items()),
+                             for g, held in self._held.items()
+                             for rep, fa, o in held),
             degraded_since=sorted(self._degraded_since.items()))
 
     @classmethod
@@ -998,8 +1000,9 @@ class ReliabilitySimulation:
         # Attempt counts survive the restore so a re-deferral on the clone
         # neither double-counts rebuilds_deferred nor resets the backoff.
         self._deferred = {(g, rep): a for g, rep, a in state.deferred}
-        self._held = {(g, rep): (fa, o)
-                      for g, rep, fa, o in state.lazy_held}
+        self._held = {}
+        for g, rep, fa, o in state.lazy_held:
+            insort(self._held.setdefault(g, []), (rep, fa, o))
         self._degraded_since = dict(state.degraded_since)
         self._domain_blocked = False
         self._restored = True

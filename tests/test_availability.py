@@ -626,6 +626,28 @@ class TestLazyFastEngine:
         assert clone._degraded_since == sim._degraded_since
         assert clone.stats.rebuilds_held == sim.stats.rebuilds_held
 
+    def test_split_round_trip_preserves_held_and_trajectory(self):
+        """A restored clone re-captured at the same instant yields the
+        same held list, and continuing from that second restore gives
+        exactly the stats of continuing from the first one."""
+        cfg = lazy_cfg(recovery_threshold=2)
+        state = ReliabilitySimulation(cfg, seed=3).run_to_level(2)
+        assert state is not None and state.lazy_held
+        assert state.lazy_held == sorted(state.lazy_held)
+        first = ReliabilitySimulation.from_split_state(cfg, state,
+                                                       clone_seed=99)
+        again = first._capture_split()
+        assert again.lazy_held == state.lazy_held
+        assert again.detects == state.detects
+        assert again.jobs == state.jobs
+        assert again.degraded_since == state.degraded_since
+        second = ReliabilitySimulation.from_split_state(cfg, again,
+                                                        clone_seed=99)
+        uninterrupted = first.run()
+        resumed = second.run()
+        assert resumed == uninterrupted
+        assert uninterrupted.rebuilds_held > state.stats.rebuilds_held
+
     @pytest.mark.slow
     @given(seed=st.integers(0, 50))
     @settings(max_examples=10, deadline=None)

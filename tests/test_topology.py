@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from repro.cluster import StorageSystem, Topology, enforce_domain_constraint
+from repro.cluster import topology as topology_mod
 from repro.config import SystemConfig
 from repro.core import FarmRecovery, TraditionalRecovery, simulate_run
-from repro.placement import CopysetPlacement, RandomPlacement
+from repro.placement import (CopysetPlacement, PlacementError,
+                             RandomPlacement, RushPlacement)
 from repro.reliability import ReliabilitySimulation
 from repro.sim import RandomStreams, Simulator
 from repro.units import DAY, GB, HOUR, TB
@@ -141,6 +143,125 @@ class TestEnforceDomainConstraint:
         fixed = enforce_domain_constraint(matrix, topo, 1, placement)
         assert (fixed[ok] == before[ok]).all()
         assert not ok.all()          # the seed does produce violations
+
+
+def _per_row_walk(grp_id, n, topology, limit, placement):
+    """Reference repair of one row: re-walk the doubling candidate lists,
+    then scan disks linearly."""
+    chosen, counts = [], {}
+
+    def admit(d):
+        if d in chosen:
+            return False
+        r = topology.rack_of(d)
+        if counts.get(r, 0) >= limit:
+            return False
+        chosen.append(d)
+        counts[r] = counts.get(r, 0) + 1
+        return True
+
+    want = n
+    while len(chosen) < n and want <= placement.n_disks:
+        try:
+            cands = placement.candidates(grp_id, want)
+        except PlacementError:
+            break
+        for d in cands:
+            if admit(d) and len(chosen) == n:
+                return chosen
+        if want == placement.n_disks:
+            break
+        want = min(want * 2, placement.n_disks)
+    for d in range(placement.n_disks):
+        if admit(d) and len(chosen) == n:
+            return chosen
+    raise PlacementError(f"group {grp_id}: infeasible")
+
+
+def _reference_repair(matrix, topology, limit, placement):
+    """Re-place every violating row with the reference walk."""
+    rack = topology.rack_array()
+    for g, row in enumerate(matrix):
+        if max(np.bincount(rack[row])) > limit:
+            matrix[g] = _per_row_walk(g, matrix.shape[1], topology, limit,
+                                      placement)
+    return matrix
+
+
+def _placement(kind, n_disks, n, seed):
+    if kind == "rush":
+        return RushPlacement(n_disks, seed=seed)
+    if kind == "copyset":
+        # Without a topology the copysets ignore racks, so plenty of rows
+        # need repair and the walk past the copyset prefix is exercised.
+        return CopysetPlacement(n_disks, group_size=n, seed=seed)
+    return RandomPlacement(n_disks, seed=seed)
+
+
+class TestRepairMatchesPerRowWalk:
+    """The batched prefix repair must place every row exactly where the
+    reference per-row walk does, for every placement and cap."""
+
+    N_BLOCKS = 4
+
+    @pytest.mark.parametrize("kind", ["random", "rush", "copyset"])
+    @pytest.mark.parametrize("racks,machines,n_disks",
+                             [(2, 3, 18), (3, 2, 24), (5, 1, 40),
+                              (8, 2, 96)])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_bit_identical(self, kind, racks, machines, n_disks, seed):
+        n = self.N_BLOCKS
+        topo = Topology(racks, machines, n_disks)
+        for limit in range(1, n):
+            if racks * limit < n:
+                continue
+            placement = _placement(kind, n_disks, n, seed)
+            matrix = placement.place_many(np.arange(300), n)
+            expected = _reference_repair(matrix.copy(), topo, limit,
+                                         placement)
+            got = enforce_domain_constraint(matrix, topo, limit, placement)
+            assert (got == expected).all(), (kind, limit)
+
+    def test_tiny_pool_falls_back_past_the_prefix(self, monkeypatch):
+        """Two disks per rack: random placement's probe prefix often
+        repeats a disk, so some rows need more candidates than it holds
+        and go through the full walk."""
+        calls = []
+        full_walk = topology_mod._constrained_row
+
+        def counting(*args):
+            calls.append(args[0])
+            return full_walk(*args)
+
+        monkeypatch.setattr(topology_mod, "_constrained_row", counting)
+        topo = Topology(3, 1, 6)
+        placement = RandomPlacement(6, seed=1)
+        matrix = placement.place_many(np.arange(200), 3)
+        expected = _reference_repair(matrix.copy(), topo, 1, placement)
+        got = enforce_domain_constraint(matrix, topo, 1, placement)
+        assert (got == expected).all()
+        assert calls
+
+    def test_prefix_longer_than_the_reachable_schedule(self):
+        """Lists here end at five disks, so the scalar walk stops after
+        asking for 2 and 4 and scans linearly; a row the fifth prefix
+        entry would complete must not be taken from the prefix."""
+
+        class FiveCandidates(RandomPlacement):
+            def candidates(self, grp_id, count):
+                if count > 5:
+                    raise PlacementError("lists end at five disks")
+                return super().candidates(grp_id, count)
+
+            def candidate_prefixes(self, grp_ids, k):
+                return [self.candidates(int(g), 5) for g in grp_ids]
+
+        topo = Topology(2, 1, 40)
+        placement = FiveCandidates(40, seed=2)
+        matrix = placement.place_many(np.arange(200), 2)
+        expected = _reference_repair(matrix.copy(), topo, 1, placement)
+        got = enforce_domain_constraint(matrix, topo, 1, placement)
+        assert (got == expected).all()
 
 
 class TestCopysetPlacement:
