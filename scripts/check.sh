@@ -11,8 +11,18 @@
 set -u -o pipefail
 cd "$(dirname "$0")/.."
 
-export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
 status=0
+
+# The smoke runs below append perf records to the bench history; point
+# them at a throwaway copy so the committed results/BENCH_sweep.json is
+# never modified, and let the guard judge that copy.  `run bulk` also
+# rewrites its table at the relative path results/bulk-sweep.txt, so it
+# runs from a throwaway directory.
+bench_history="$(mktemp)"
+scratch_dir="$(mktemp -d)"
+trap 'rm -rf "$bench_history" "$scratch_dir"' EXIT
+cp results/BENCH_sweep.json "$bench_history"
 
 step() {
   local name="$1"; shift
@@ -44,13 +54,16 @@ step "sweep parity (serial == parallel, incl. telemetry snapshots)" \
 step "forecast service smoke (tier routing, cache hit, /metrics)" \
   python -m repro serve --smoke --runs 16
 step "topology experiment (smoke)" \
-  env REPRO_SCALE=smoke python -m repro run topology
+  env REPRO_SCALE=smoke REPRO_BENCH_PATH="$bench_history" \
+  python -m repro run topology
 step "bulk engine benchmark (smoke, asserts >= 100x over DES baseline)" \
-  env REPRO_SCALE=smoke python -m repro run bulk
+  env -C "$scratch_dir" REPRO_SCALE=smoke REPRO_BENCH_PATH="$bench_history" \
+  python -m repro run bulk
 step "availability experiment (smoke, asserts trade-off monotonicity)" \
-  env REPRO_SCALE=smoke python -m repro run availability
+  env REPRO_SCALE=smoke REPRO_BENCH_PATH="$bench_history" \
+  python -m repro run availability
 step "bench-regression guard (bulk + availability runs/s vs history)" \
-  python scripts/bench_guard.py
+  python scripts/bench_guard.py "$bench_history"
 step "bulk conformance suite (incl. slow CI-overlap tests)" \
   python -m pytest tests/test_bulk.py -q -m "slow or not slow"
 step "availability conformance suite (incl. slow lazy-policy brackets)" \

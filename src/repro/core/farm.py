@@ -104,18 +104,10 @@ class FarmRecovery(RecoveryManager):
         return True
 
     # -- RecoveryManager hooks -------------------------------------------- #
-    def _schedule_rebuilds(self, failed_disk: int,
-                           losses: list[tuple[RedundancyGroup, int]],
-                           now: float) -> None:
-        start = now + self.config.detection_latency
-        for group, rep in losses:
-            self.sim.schedule_at(start, self._start_if_alive, group, rep,
-                                 now, name="farm-detect")
-
     def _schedule_one(self, group: RedundancyGroup, rep_id: int,
                       failed_at: float, now: float) -> None:
-        """A lazy-trigger release: detection runs from the release time,
-        but the window of vulnerability keeps the original failure time."""
+        """Detection runs from ``now`` (a lazy release time), but the
+        window of vulnerability keeps the original failure time."""
         self.sim.schedule_at(now + self.config.detection_latency,
                              self._start_if_alive, group, rep_id, failed_at,
                              name="farm-detect")

@@ -26,12 +26,11 @@ rebuild-read discovery into an ordinary per-block rebuild).
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
-from bisect import insort
-from dataclasses import dataclass, field
+from abc import abstractmethod
+from dataclasses import dataclass
 
 from ..availability.luby import check_repair_lane
-from ..availability.queue import RepairPriority, RepairPriorityQueue
+from ..availability.queue import RepairPriorityQueue
 from ..cluster.system import StorageSystem
 from ..redundancy.group import RedundancyGroup
 from ..sim.engine import Simulator
@@ -39,7 +38,7 @@ from ..sim.events import Event
 from ..sim.resources import SerialServer
 from ..telemetry.handle import Telemetry
 from ..telemetry.probes import ProbeSample
-from ..units import MINUTE
+from .ledger import LedgerOwner, RecoveryLedger
 
 
 @dataclass
@@ -79,7 +78,7 @@ class RecoveryStats:
     transient_outages: int = 0
     #: Seconds of per-group *unavailability*: summed over closed degraded
     #: spans (first block failure -> full redundancy restored).  Spans
-    #: still open at the horizon are closed by :meth:`RecoveryManager.
+    #: still open at the horizon are closed by :meth:`RecoveryLedger.
     #: finalize`; spans ended by data loss are dropped — loss belongs to
     #: durability's ledger, not availability's (the telemetry span
     #: tracker aborts the same spans, keeping ``*_sum_total`` exactly
@@ -133,12 +132,6 @@ class RecoveryStats:
         from ..availability.metrics import availability_nines
         return availability_nines(self.availability(n_groups, duration))
 
-    def record_loss(self, group: RedundancyGroup, now: float) -> None:
-        self.groups_lost += 1
-        self.bytes_lost += group.user_bytes
-        if self.first_loss_time is None:
-            self.first_loss_time = now
-
 
 @dataclass(eq=False)     # identity semantics: jobs live in hash sets
 class RebuildJob:
@@ -160,12 +153,12 @@ class RebuildJob:
 
 @dataclass(eq=False)     # identity semantics, like RebuildJob
 class DeferredRebuild:
-    """A rebuild that could not start; parked for retry with backoff."""
+    """A rebuild that could not start, with its cancellable retry event
+    (the backoff attempts live in the ledger)."""
 
     group: RedundancyGroup
     rep_id: int
     failed_at: float
-    attempts: int = 0
     event: Event | None = None
 
 
@@ -173,18 +166,8 @@ def _marker() -> None:
     """No-op event callback: exists only to appear in the trace timeline."""
 
 
-class RecoveryManager(ABC):
+class RecoveryManager(LedgerOwner):
     """Base class wiring a recovery scheme into the simulator."""
-
-    #: Deferred-rebuild backoff: ``base * 2**attempt`` seconds.  The
-    #: doubling is uncapped (exponent clamped) because
-    #: :meth:`rearm_deferred` already retries promptly whenever the world
-    #: improves (batch arrived, disk back online); a fixed hourly cap
-    #: would instead let thousands of hopelessly parked blocks — e.g. a
-    #: dead rack under the failure-domain cap — retry-spin for simulated
-    #: months and dominate the event loop.
-    retry_base_s: float = MINUTE
-    retry_max_doublings: int = 16
 
     def __init__(self, system: StorageSystem, sim: Simulator,
                  telemetry: Telemetry | None = None) -> None:
@@ -207,17 +190,15 @@ class RecoveryManager(ABC):
         # must treat reserved space as used or concurrent jobs could
         # collectively overflow a target.
         self._reserved: dict[int, float] = {}
-        # Rebuilds awaiting a viable target/source, keyed (grp_id, rep_id).
+        # Retry events of rebuilds awaiting a viable target/source, keyed
+        # (grp_id, rep_id) like the ledger's attempt counts.
         self._deferred: dict[tuple[int, int], DeferredRebuild] = {}
-        # Lazy-recovery policy (recovery_threshold > 1): rebuilds held
-        # back until the group accumulates >= r missing blocks, keyed
-        # grp_id -> [(rep_id, failure time)] sorted by rep_id, so a
-        # release or a loss touches only its own group.  Empty forever at
-        # the default threshold of 1, where dispatch short-circuits to the
-        # eager path.
-        self._held: dict[int, list[tuple[int, float]]] = {}
-        # Open per-group unavailability spans: grp_id -> degraded-since.
-        self._degraded_since: dict[int, float] = {}
+        # Rebuild bookkeeping shared with the flat-array engine.
+        cfg = self.config
+        self.ledger = RecoveryLedger(
+            self.stats, telemetry, threshold=cfg.recovery_threshold,
+            tolerance=cfg.scheme.tolerance, n=cfg.scheme.n,
+            user_bytes=cfg.group_user_bytes)
         # A rate-limited repair lane too narrow for its own failure
         # inflow is a modelling error: reject it up front, exactly like
         # the forecast service's 422 rail.
@@ -288,15 +269,7 @@ class RecoveryManager(ABC):
 
         # Jobs whose *target* just died: pick another target (paper §2.3,
         # "we merely choose an alternative target") — recovery redirection.
-        for job in list(self._jobs_by_target.get(disk_id, ())):
-            self._unregister(job)
-            job.cancel()
-            if job.group.lost:
-                continue
-            self.stats.target_redirections += 1
-            if tele is not None:
-                tele.target_redirections.inc()
-            self._reschedule(job, now)
+        self._redirect_targets(disk_id, now)
 
         # Jobs that were *reading* from the dead disk but whose group still
         # has enough survivors: swap in an alternative source at no cost.
@@ -308,31 +281,24 @@ class RecoveryManager(ABC):
                 tele.source_redirections.inc()
             job.sources = tuple(s for s in job.sources if s != disk_id)
 
-        # New block losses.
+        self._record_losses(disk_id, affected, now)
+        self._after_failure(disk_id, now)
+
+    def _record_losses(self, disk_id: int,
+                       affected: list[tuple[RedundancyGroup, list[int]]],
+                       now: float) -> None:
+        """Account new block losses on ``disk_id`` (a failure or a latent
+        discovery) and route their rebuilds."""
         newly_lost: list[tuple[RedundancyGroup, int]] = []
         for group, reps in affected:
             if group.lost and group.loss_time == now:
-                self.stats.record_loss(group, now)
-                self._degraded_since.pop(group.grp_id, None)
-                self._drop_held(group.grp_id)
-                if tele is not None:
-                    tele.group_lost(group.grp_id)
-                for job in list(self._jobs_by_group.get(group.grp_id, ())):
-                    self._unregister(job)
-                    job.cancel()
-                continue
-            if group.lost:
-                continue
-            if reps:
-                self._note_degraded(group, now)
-            for rep in reps:
-                newly_lost.append((group, rep))
-                if tele is not None:
-                    tele.block_failed(group.grp_id, rep, now,
-                                      group.scheme.n)
+                self._group_lost(group, now)
+            elif not group.lost:
+                for rep in reps:
+                    self.ledger.block_failed(group.grp_id, rep, now)
+                    newly_lost.append((group, rep))
         if newly_lost:
             self._dispatch_rebuilds(disk_id, newly_lost, now)
-        self._after_failure(disk_id, now)
 
     # -- completion path ---------------------------------------------------- #
     def _complete(self, job: RebuildJob) -> None:
@@ -343,31 +309,44 @@ class RecoveryManager(ABC):
         if not target.online:
             # Defensive: a redirect should already have happened.
             self._unregister(job)
-            self.stats.target_redirections += 1
-            if self.telemetry is not None:
-                self.telemetry.target_redirections.inc()
-            self._reschedule(job, now)
+            self._redirect(job, now)
             return
         self._unregister(job)
         job.group.complete_rebuild(job.rep_id, job.target,
                                    allow_buddy=self._allows_buddy())
         target.allocate(self.config.block_bytes)
         self.system.note_block_moved(job.group.grp_id, job.target)
-        self.stats.rebuilds_completed += 1
-        window = now - job.failed_at
-        self.stats.window_total += window
-        self.stats.window_max = max(self.stats.window_max, window)
+        self.ledger.completed(job.group.grp_id, job.rep_id, job.failed_at,
+                              now, not job.group.failed)
+
+    def _redirect_targets(self, disk_id: int, now: float) -> None:
+        """Jobs writing to ``disk_id`` restart on another target."""
+        for job in list(self._jobs_by_target.get(disk_id, ())):
+            self._unregister(job)
+            job.cancel()
+            if not job.group.lost:
+                self._redirect(job, now)
+
+    def _redirect(self, job: RebuildJob, now: float) -> None:
+        """Count a target redirection and restart ``job``."""
+        self.stats.target_redirections += 1
         if self.telemetry is not None:
-            self.telemetry.rebuilds_completed.inc()
-            self.telemetry.block_rebuilt(job.group.grp_id, job.rep_id, now)
-        if not job.group.failed:
-            self._note_repaired(job.group.grp_id, now)
+            self.telemetry.target_redirections.inc()
+        self._reschedule(job, now)
+
+    def _group_lost(self, group: RedundancyGroup, now: float) -> None:
+        """``group`` just lost data: account it, cancel its rebuilds."""
+        self.ledger.lost(group.grp_id, now)
+        for job in list(self._jobs_by_group.get(group.grp_id, ())):
+            self._unregister(job)
+            job.cancel()
 
     # -- lazy recovery (recovery_threshold > 1) ------------------------------ #
-    def _missing_count(self, group: RedundancyGroup) -> int:
-        """Blocks of ``group`` without a live, *reachable* replica right
+    def missing_blocks(self, grp_id: int) -> int:
+        """Blocks of the group without a live, *reachable* replica right
         now: failed blocks plus live replicas on transiently offline
         disks — both count toward the lazy trigger."""
+        group = self.system.groups[grp_id]
         missing = len(group.failed)
         disks = self.system.disks
         for rep, disk_id in enumerate(group.disks):
@@ -377,107 +356,41 @@ class RecoveryManager(ABC):
                 missing += 1
         return missing
 
+    def awaits_rebuild(self, grp_id: int, rep_id: int) -> bool:
+        """The block is still failed and its group not lost."""
+        group = self.system.groups[grp_id]
+        return not group.lost and rep_id in group.failed
+
     def _dispatch_rebuilds(self, failed_disk: int,
                            losses: list[tuple[RedundancyGroup, int]],
                            now: float) -> None:
         """Route new block losses through the lazy-recovery policy.
 
-        At the default ``recovery_threshold`` of 1 this is a verbatim
-        delegation to :meth:`_schedule_rebuilds` — no extra events, no
+        At the default ``recovery_threshold`` of 1 every loss goes
+        straight to :meth:`_schedule_one` — no extra events, no
         reordering, bit-identical to the eager path (the golden-pin
         conformance contract).  Above 1, losses are parked in the held
         map until their group reaches ``r`` missing blocks, then every
         held rebuild of the group is released most-at-risk-first.
         """
         if self.config.recovery_threshold <= 1:
-            self._schedule_rebuilds(failed_disk, losses, now)
+            for group, rep in losses:
+                self._schedule_one(group, rep, now, now)
             return
-        fresh: dict[int, RedundancyGroup] = {}
-        for group, rep in losses:
-            insort(self._held.setdefault(group.grp_id, []), (rep, now))
-            fresh.setdefault(group.grp_id, group)
-        queue: RepairPriorityQueue = RepairPriorityQueue()
-        released: set[int] = set()
-        for group in fresh.values():
-            if self._missing_count(group) >= self.config.recovery_threshold:
-                released.add(group.grp_id)
-                self._collect_held(group, queue)
-        n_held = sum(1 for g, _ in losses if g.grp_id not in released)
+        n_held, queue = self.ledger.hold(
+            self, [(group.grp_id, rep) for group, rep in losses], now,
+            failed_disk)
         if n_held:
-            self.stats.rebuilds_held += n_held
-            if self.telemetry is not None:
-                self.telemetry.rebuilds_held.inc(n_held)
             self._trace_marker("rebuild-held")
-        self._release_queue(queue, now)
+        self._release(queue, now)
 
-    def _collect_held(self, group: RedundancyGroup,
-                      queue: RepairPriorityQueue) -> None:
-        """Move every held rebuild of ``group`` into the release queue,
-        keyed most-at-risk-first (surviving redundancy, then age)."""
-        grp_id = group.grp_id
-        surviving = max(0, group.scheme.tolerance
-                        - self._missing_count(group))
-        for rep, failed_at in self._held.pop(grp_id):
-            queue.push(RepairPriority(surviving, failed_at, grp_id, rep),
-                       (group, rep, failed_at))
-
-    def _release_queue(self, queue: RepairPriorityQueue,
-                       now: float) -> None:
+    def _release(self, queue: RepairPriorityQueue, now: float) -> None:
         """Schedule released rebuilds in priority order."""
-        tele = self.telemetry
-        for _prio, (group, rep_id, failed_at) in queue.drain():
-            if group.lost or rep_id not in group.failed:
-                continue
-            if tele is not None:
-                tele.held_released.inc()
-            self._schedule_one(group, rep_id, failed_at, now)
-
-    def _drop_held(self, grp_id: int) -> None:
-        """Forget held rebuilds of a group that just lost data."""
-        self._held.pop(grp_id, None)
-
-    @property
-    def held_outstanding(self) -> int:
-        """Rebuilds currently parked by the lazy-recovery trigger."""
-        return sum(len(reps) for reps in self._held.values())
-
-    # -- unavailability spans ------------------------------------------------ #
-    def _note_degraded(self, group: RedundancyGroup, now: float) -> None:
-        """First missing block of the group: open its degraded span."""
-        grp_id = group.grp_id
-        if grp_id in self._degraded_since:
-            return
-        self._degraded_since[grp_id] = now
-        if self.telemetry is not None:
-            self.telemetry.group_degraded(grp_id, now, group.scheme.n)
-
-    def _note_repaired(self, grp_id: int, now: float) -> None:
-        """Full redundancy restored: close the span, account it."""
-        since = self._degraded_since.pop(grp_id, None)
-        if since is None:
-            return
-        duration = now - since
-        self.stats.unavail_group_seconds += duration
-        self.stats.unavail_spans += 1
-        self.stats.unavail_max = max(self.stats.unavail_max, duration)
-        if self.telemetry is not None:
-            self.telemetry.group_restored(grp_id, now)
-
-    def finalize(self, now: float) -> None:
-        """Close accounting still open at the simulation horizon.
-
-        Groups degraded at the end contribute their partial span in
-        ascending group-id order — deterministic, and identical between
-        the two engines so span totals stay float-exact."""
-        for grp_id in sorted(self._degraded_since):
-            self._note_repaired(grp_id, now)
+        for grp_id, rep_id, failed_at, _ in self.ledger.release(self, queue):
+            self._schedule_one(self.system.groups[grp_id], rep_id, failed_at,
+                               now)
 
     # -- deferred-rebuild retry queue ---------------------------------------- #
-    @property
-    def deferred_outstanding(self) -> int:
-        """Rebuilds currently parked awaiting a viable target/source."""
-        return len(self._deferred)
-
     def _trace_marker(self, name: str) -> None:
         """Make ``name`` visible in the simulation trace at the current
         time (the trace hook only sees fired events)."""
@@ -495,47 +408,29 @@ class RecoveryManager(ABC):
         forced solely by the failure-domain placement cap.
         """
         key = (group.grp_id, rep_id)
-        entry = self._deferred.get(key)
-        if entry is None:
-            entry = DeferredRebuild(group=group, rep_id=rep_id,
-                                    failed_at=failed_at)
-            self._deferred[key] = entry
-            self.stats.rebuilds_deferred += 1
-            if constrained:
-                self.stats.rebuilds_deferred_constraint += 1
-            if self.telemetry is not None:
-                self.telemetry.rebuilds_deferred.inc()
-                if constrained:
-                    self.telemetry.rebuilds_deferred_constraint.inc()
+        if self.ledger.defer(key, constrained):
+            self._deferred[key] = DeferredRebuild(group=group, rep_id=rep_id,
+                                                  failed_at=failed_at)
             self._trace_marker("rebuild-deferred")
-        self._arm_retry(key, entry)
+        self._arm_retry(key, self._deferred[key])
 
     def _arm_retry(self, key: tuple[int, int],
                    entry: DeferredRebuild) -> None:
         if entry.event is not None:
             entry.event.cancel()
-        delay = self.retry_base_s * (2.0 ** min(entry.attempts,
-                                                self.retry_max_doublings))
-        entry.attempts += 1
-        entry.event = self.sim.schedule(delay, self._retry_deferred, key,
+        entry.event = self.sim.schedule(self.ledger.backoff(key),
+                                        self._retry_deferred, key,
                                         name="rebuild-retry")
 
     def _retry_deferred(self, key: tuple[int, int]) -> None:
-        entry = self._deferred.get(key)
-        if entry is None:
-            return
-        group = entry.group
-        if group.lost or entry.rep_id not in group.failed:
-            del self._deferred[key]     # resolved (or lost) in the meantime
-            return
-        self.stats.retries += 1
-        if self.telemetry is not None:
-            self.telemetry.rebuild_retries.inc()
+        entry = self._deferred[key]
+        if self.ledger.retry(self, key):
+            if not self._try_start(entry.group, entry.rep_id,
+                                   entry.failed_at, self.sim.now):
+                self._arm_retry(key, entry)     # the backoff keeps growing
+                return
+            del self.ledger.deferred[key]       # started
         del self._deferred[key]
-        if not self._try_start(group, entry.rep_id, entry.failed_at,
-                               self.sim.now):
-            self._deferred[key] = entry     # keep the attempt count: the
-            self._arm_retry(key, entry)     # backoff must keep growing
 
     def rearm_deferred(self) -> int:
         """Retry every parked rebuild now, with a fresh backoff.
@@ -550,13 +445,12 @@ class RecoveryManager(ABC):
             # release queue uses); the default path keeps insertion order
             # so the eager trajectory stays bit-identical.
             entries.sort(key=lambda kv: (
-                max(0, kv[1].group.scheme.tolerance
-                    - self._missing_count(kv[1].group)),
-                kv[1].failed_at, kv[0]))
+                self.ledger.surviving(self, kv[0][0]), kv[1].failed_at,
+                kv[0]))
         for key, entry in entries:
             if entry.event is not None:
                 entry.event.cancel()
-            entry.attempts = 0
+            self.ledger.deferred[key] = 0
             entry.event = self.sim.schedule(0.0, self._retry_deferred, key,
                                             name="rebuild-retry")
         return len(self._deferred)
@@ -585,21 +479,8 @@ class RecoveryManager(ABC):
             tele.latent_discovered.inc()
             tele.latent_window_seconds.inc(now - corrupted_at)
         self._trace_marker("latent-discovered")
-        if group.lost and group.loss_time == now:
-            # The corrupt block defeated what redundancy remained.
-            self.stats.record_loss(group, now)
-            self._degraded_since.pop(grp_id, None)
-            self._drop_held(grp_id)
-            if tele is not None:
-                tele.group_lost(grp_id)
-            for job in list(self._jobs_by_group.get(grp_id, ())):
-                self._unregister(job)
-                job.cancel()
-            return True
-        self._note_degraded(group, now)
-        if tele is not None:
-            tele.block_failed(grp_id, rep_id, now, group.scheme.n)
-        self._dispatch_rebuilds(disk_id, [(group, rep_id)], now)
+        # The corrupt block may defeat what redundancy remained.
+        self._record_losses(disk_id, [(group, [rep_id])], now)
         return True
 
     def _discover_latent_partners(self, group: RedundancyGroup,
@@ -631,28 +512,18 @@ class RecoveryManager(ABC):
             tele.transient_outages.inc()
         self._trace_marker("disk-offline")
 
-        for job in list(self._jobs_by_target.get(disk_id, ())):
-            self._unregister(job)
-            job.cancel()
-            if job.group.lost:
-                continue
-            self.stats.target_redirections += 1
-            if tele is not None:
-                tele.target_redirections.inc()
-            self._reschedule(job, now)
-
+        self._redirect_targets(disk_id, now)
         for job in list(self._jobs_by_source.get(disk_id, ())):
             if job.cancelled or job.group.lost:
                 continue
-            online = [d for d in job.group.buddies_of(job.rep_id)
-                      if self.system.disks[d].online]
-            if len(online) >= job.group.scheme.m:
+            sources = self._online_sources(job.group, job.rep_id)
+            if sources:
                 self.stats.source_redirections += 1
                 if tele is not None:
                     tele.source_redirections.inc()
                 for s in job.sources:
                     self._jobs_by_source.get(s, set()).discard(job)
-                job.sources = tuple(online[:job.group.scheme.m])
+                job.sources = sources
                 for s in job.sources:
                     self._jobs_by_source.setdefault(s, set()).add(job)
             else:
@@ -666,14 +537,8 @@ class RecoveryManager(ABC):
         # held rebuilds plus now-unreachable replicas reach the threshold
         # releases immediately (the rebuilds themselves may still defer
         # until a readable source returns — the retry queue drains them).
-        if self.config.recovery_threshold > 1 and self._held:
-            queue: RepairPriorityQueue = RepairPriorityQueue()
-            touched = [self.system.groups[g] for g in self._held]
-            for group in touched:
-                if (self._missing_count(group)
-                        >= self.config.recovery_threshold):
-                    self._collect_held(group, queue)
-            self._release_queue(queue, now)
+        if self.config.recovery_threshold > 1 and self.ledger.held:
+            self._release(self.ledger.release_ready(self), now)
 
     def on_disk_online(self, disk_id: int) -> None:
         """DES callback: a transient outage ends; the disk's data is back.
@@ -747,26 +612,21 @@ class RecoveryManager(ABC):
             bandwidth_cap_bps=cap,
             disks_by_state=states,
             degraded_groups=degraded,
-            deferred_rebuilds=len(self._deferred),
+            deferred_rebuilds=self.deferred_outstanding,
             rebuild_load_max=float(max(loads, default=0)),
             rebuild_load_mean=(sum(loads) / len(loads)) if loads else 0.0,
             bandwidth_by_rack=by_rack)
 
     # -- scheme-specific hooks ---------------------------------------------- #
     @abstractmethod
-    def _schedule_rebuilds(self, failed_disk: int,
-                           losses: list[tuple[RedundancyGroup, int]],
-                           now: float) -> None:
-        """Schedule reconstruction of the given (group, rep) losses."""
-
-    @abstractmethod
     def _schedule_one(self, group: RedundancyGroup, rep_id: int,
                       failed_at: float, now: float) -> None:
-        """Schedule one rebuild released by the lazy-recovery trigger.
+        """Schedule one rebuild: a fresh loss, or one released by the
+        lazy-recovery trigger.
 
         ``failed_at`` is the block's *original* failure time (windows of
         vulnerability measure true exposure); detection/queueing starts
-        from ``now``, the release time.
+        from ``now``, the loss or release time.
         """
 
     @abstractmethod

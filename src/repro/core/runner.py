@@ -73,7 +73,7 @@ def simulate_run(config: SystemConfig, seed: int = 0,
             sim.schedule_at(t, manager.on_disk_failure, disk_id,
                             name="disk-failure")
     sim.run(until=config.duration)
-    manager.finalize(config.duration)
+    manager.ledger.finalize(config.duration)
     if failure_draw is not None:
         manager.stats.log_weight = failure_draw.log_weight
     return RunResult(config=config, seed=seed, stats=manager.stats,

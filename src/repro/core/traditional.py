@@ -105,17 +105,10 @@ class TraditionalRecovery(RecoveryManager):
         self._enqueue(group, rep_id, spare, failed_at, start, sources)
         return True
 
-    def _schedule_rebuilds(self, failed_disk: int,
-                           losses: list[tuple[RedundancyGroup, int]],
-                           now: float) -> None:
-        for group, rep in losses:
-            if not self._try_start(group, rep, now, now):
-                self.defer_rebuild(group, rep, now, now)
-
     def _schedule_one(self, group: RedundancyGroup, rep_id: int,
                       failed_at: float, now: float) -> None:
-        """A lazy-trigger release: queue on the spare now, keeping the
-        block's original failure time for window accounting."""
+        """Queue on the spare now, keeping the block's original failure
+        time (earlier than ``now`` after a lazy release) for windows."""
         if not self._try_start(group, rep_id, failed_at, now):
             self.defer_rebuild(group, rep_id, failed_at, now)
 

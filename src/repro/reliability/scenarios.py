@@ -226,7 +226,7 @@ class Scenario:
             sim.schedule_at(at, self._inject_latent, ctx, latent_rng, disk,
                             name="injected-latent")
         sim.run(until=end)
-        manager.finalize(end)
+        manager.ledger.finalize(end)
 
         lost = [g.grp_id for g in system.groups if g.lost]
         return ScenarioOutcome(config=self.config, injections=resolved,

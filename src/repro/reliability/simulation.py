@@ -20,17 +20,16 @@ Mechanics per run:
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Protocol
+from typing import Iterable, Iterator, Protocol
 
 import numpy as np
 
 from ..availability.luby import check_repair_lane
-from ..availability.queue import RepairPriority, RepairPriorityQueue
 from ..cluster.topology import Topology, enforce_domain_constraint
 from ..cluster.workload import ConstantWorkload, DiurnalWorkload
 from ..config import SystemConfig
+from ..core.ledger import LedgerOwner, RecoveryLedger
 from ..core.recovery import RecoveryStats
 from ..placement.copyset import CopysetPlacement
 from ..placement.hashing import hash_unit
@@ -40,7 +39,6 @@ from ..sim.engine import Simulator
 from ..sim.rng import RandomStreams
 from ..telemetry.handle import Telemetry
 from ..telemetry.probes import ProbeSample
-from ..units import MINUTE
 
 #: Salt for the deterministic per-disk SMART detection coin.
 _SMART_SALT = 0x51AC
@@ -131,7 +129,7 @@ class SplitState:
     degraded_since: list[tuple[int, float]] = field(default_factory=list)
 
 
-class ReliabilitySimulation:
+class ReliabilitySimulation(LedgerOwner):
     """One system lifetime on the flat-array engine."""
 
     def __init__(self, config: SystemConfig, seed: int = 0,
@@ -152,17 +150,6 @@ class ReliabilitySimulation:
         #: stream) and the run's likelihood ratio lands on
         #: ``stats.log_weight`` when the run ends.
         self.failure_draw = failure_draw
-        #: count of groups currently degraded (>=1 failed block, not
-        #: lost) — the multilevel-splitting level variable.
-        self._degraded = 0
-        #: Lazy-recovery threshold (1 = eager, the bit-identical default).
-        self._lazy_r = config.recovery_threshold
-        #: held rebuilds (lazy policy): g -> [(rep, failed_at, origin)]
-        #: sorted by rep, so a release or a loss touches only its own
-        #: group's entries (a list, not a dict: most groups hold one).
-        self._held: dict[int, list[tuple[int, float, int]]] = {}
-        #: open per-group unavailability spans: g -> degraded-since.
-        self._degraded_since: dict[int, float] = {}
         # Reject a rate-limited repair lane that cannot keep up with its
         # own failure inflow (the forecast service's 422 rail, applied at
         # engine construction).
@@ -180,6 +167,10 @@ class ReliabilitySimulation:
                 f"engine (repro.core.simulate_run)")
         self.n = scheme.n
         self.tol = scheme.tolerance
+        #: Rebuild bookkeeping shared with the object engine.
+        self.ledger = RecoveryLedger(
+            self.stats, telemetry, threshold=config.recovery_threshold,
+            tolerance=self.tol, n=self.n, user_bytes=config.group_user_bytes)
         self.G = config.n_groups
         self.N0 = config.n_disks
         self.block_bytes = config.block_bytes
@@ -254,8 +245,6 @@ class ReliabilitySimulation:
         self._unreplaced = 0
         self._target_rng = self.streams.get("targets")
         self.groups_lost_ids: list[int] = []
-        #: deferred-rebuild queue: (g, rep) -> retry attempts so far.
-        self._deferred: dict[tuple[int, int], int] = {}
         #: Whether the most recent admissibility sweep rejected at least
         #: one target solely on the failure-domain cap (so a resulting
         #: deferral is counted as constraint-caused).
@@ -309,11 +298,16 @@ class ReliabilitySimulation:
         ages = self._sample_failure_ages(
             rng, count, horizon_age=self.duration - now)
         self.fail_time[ids] = now + ages
-        for d, t in zip(ids, self.fail_time[ids]):
+        self._schedule_failures(ids)
+        return ids
+
+    def _schedule_failures(self, ids: Iterable[int]) -> None:
+        """Schedule the failures of disks ``ids`` that fall in the horizon."""
+        for d in ids:
+            t = self.fail_time[d]
             if t <= self.duration:
                 self.sim.schedule_at(float(t), self._on_disk_failure, int(d),
                                      name="disk-failure")
-        return ids
 
     # ------------------------------------------------------------------ #
     # Block index
@@ -346,14 +340,8 @@ class ReliabilitySimulation:
         # Redirect in-flight rebuilds targeting the dead disk.
         for job in list(self._jobs_by_target.get(disk, ())):
             self._cancel(job)
-            if self.lost[job.g]:
-                continue
-            self.stats.target_redirections += 1
-            if tele is not None:
-                tele.target_redirections.inc()
-            self.sim.schedule(self.cfg.detection_latency, self._start_rebuild,
-                              job.g, job.rep, job.failed_at, job.target,
-                              name="redirect")
+            if not self.lost[job.g]:
+                self._redirect(job)
 
         # Fail every block on the disk.
         topo = self.topology
@@ -371,34 +359,24 @@ class ReliabilitySimulation:
             self.failed_count[g] += 1
             if self.failed_count[g] > self.tol:
                 self.lost[g] = True
-                if self.failed_count[g] > 1:
-                    self._degraded -= 1    # was counted while degraded
                 self.groups_lost_ids.append(g)
-                self.stats.groups_lost += 1
-                self.stats.bytes_lost += self.cfg.group_user_bytes
-                if self.stats.first_loss_time is None:
-                    self.stats.first_loss_time = now
-                self._degraded_since.pop(g, None)
-                self._held.pop(g, None)
-                if tele is not None:
-                    tele.group_lost(g)
+                self.ledger.lost(g, now)
                 for job in list(self._jobs_by_group.get(g, ())):
                     self._cancel(job)
             else:
-                if self.failed_count[g] == 1:
-                    self._degraded += 1
-                    self._note_degraded(g, now)
+                self.ledger.block_failed(g, rep, now)
                 losses.append((g, rep))
-                if tele is not None:
-                    tele.block_failed(g, rep, now, self.n)
 
-        if self._lazy_r > 1:
-            self._lazy_dispatch(losses, now, disk)
+        if self.ledger.threshold > 1:
+            # Hold until the group reaches the threshold, then release
+            # every held rebuild of it most-at-risk-first.
+            _, queue = self.ledger.hold(self, losses, now, disk)
+            detect = self.ledger.release(self, queue)
         else:
-            for g, rep in losses:
-                self.sim.schedule(self.cfg.detection_latency,
-                                  self._start_rebuild, g, rep, now, disk,
-                                  name="detect")
+            detect = ((g, rep, now, disk) for g, rep in losses)
+        for g, rep, failed_at, origin in detect:
+            self.sim.schedule(self.cfg.detection_latency, self._start_rebuild,
+                              g, rep, failed_at, origin, name="detect")
         self._maybe_replace(now)
         # A new batch may open constraint-compliant targets: retries for
         # deferred rebuilds are already armed, nothing extra to do here.
@@ -406,96 +384,30 @@ class ReliabilitySimulation:
         # reaches the armed level (or loses data — an absorbing hit for
         # every later level), *after* this failure's detect events and
         # replacement handling are scheduled, so the snapshot is a
-        # consistent instant of the process.
+        # consistent instant of the process.  The level variable is the
+        # count of degraded groups: the ledger's open spans.
         if self._split_level is not None and self._split_state is None \
-                and (self._degraded >= self._split_level
+                and (len(self.ledger.degraded_since) >= self._split_level
                      or self.stats.groups_lost > 0):
             self._split_state = self._capture_split()
             self.sim.clear()
 
-    # ------------------------------------------------------------------ #
-    # Lazy recovery (recovery_threshold > 1) and unavailability spans
-    # ------------------------------------------------------------------ #
-    def _lazy_dispatch(self, losses: list[tuple[int, int]], now: float,
-                       origin: int) -> None:
-        """Hold new losses until their group reaches the threshold, then
-        release every held rebuild of the group most-at-risk-first.
+    # -- LedgerOwner: the ledger's view of group state ------------------ #
+    def missing_blocks(self, g: int) -> int:
+        """Exactly ``failed_count``: this engine has no transient outages."""
+        return int(self.failed_count[g])
 
-        Mirrors ``RecoveryManager._dispatch_rebuilds`` on the object
-        engine; the fast engine has no transient outages, so the trigger
-        count is exactly ``failed_count``.
-        """
-        fresh: list[int] = []
-        seen: set[int] = set()
-        for g, rep in losses:
-            insort(self._held.setdefault(g, []), (rep, now, origin))
-            if g not in seen:
-                seen.add(g)
-                fresh.append(g)
-        queue: RepairPriorityQueue = RepairPriorityQueue()
-        released: set[int] = set()
-        for g in fresh:
-            if int(self.failed_count[g]) >= self._lazy_r:
-                released.add(g)
-                self._collect_held(g, queue)
-        n_held = sum(1 for g, _ in losses if g not in released)
-        if n_held:
-            self.stats.rebuilds_held += n_held
-            if self.telemetry is not None:
-                self.telemetry.rebuilds_held.inc(n_held)
-        self._release_queue(queue, now)
-
-    def _collect_held(self, g: int, queue: RepairPriorityQueue) -> None:
-        surviving = max(0, self.tol - int(self.failed_count[g]))
-        for rep, failed_at, origin in self._held.pop(g):
-            queue.push(RepairPriority(surviving, failed_at, g, rep),
-                       (rep, failed_at, origin))
-
-    def _release_queue(self, queue: RepairPriorityQueue,
-                       now: float) -> None:
-        tele = self.telemetry
-        for prio, (rep, failed_at, origin) in queue.drain():
-            g = prio.grp_id
-            if self.lost[g] or self.group_disks[g, rep] != -1:
-                continue
-            if tele is not None:
-                tele.held_released.inc()
-            self.sim.schedule(self.cfg.detection_latency,
-                              self._start_rebuild, g, rep, failed_at,
-                              origin, name="detect")
-
-    def _note_degraded(self, g: int, now: float) -> None:
-        if g in self._degraded_since:
-            return
-        self._degraded_since[g] = now
-        if self.telemetry is not None:
-            self.telemetry.group_degraded(g, now, self.n)
-
-    def _note_repaired(self, g: int, now: float) -> None:
-        since = self._degraded_since.pop(g, None)
-        if since is None:
-            return
-        duration = now - since
-        self.stats.unavail_group_seconds += duration
-        self.stats.unavail_spans += 1
-        self.stats.unavail_max = max(self.stats.unavail_max, duration)
-        if self.telemetry is not None:
-            self.telemetry.group_restored(g, now)
-
-    def _finalize(self, now: float) -> None:
-        """Close spans still open at the horizon, ascending group id —
-        the same order the object engine's ``finalize`` uses, keeping
-        span totals float-exact across engines."""
-        for g in sorted(self._degraded_since):
-            self._note_repaired(g, now)
+    def awaits_rebuild(self, g: int, rep: int) -> bool:
+        """Block ``rep`` of ``g`` is still failed and the group not lost."""
+        return not (self.lost[g] or self.group_disks[g, rep] != -1)
 
     # ------------------------------------------------------------------ #
     # Rebuild scheduling
     # ------------------------------------------------------------------ #
     def _start_rebuild(self, g: int, rep: int, failed_at: float,
                        origin: int) -> None:
-        if self.lost[g] or self.group_disks[g, rep] != -1:
-            self._deferred.pop((g, rep), None)
+        if not self.awaits_rebuild(g, rep):
+            self.ledger.deferred.pop((g, rep), None)
             return
         now = self.sim.now
         self._domain_blocked = False
@@ -512,20 +424,18 @@ class ReliabilitySimulation:
             # exponential backoff — never drop, never violate.
             if self.telemetry is not None:
                 self.telemetry.rebuilds_unplaced.inc()
-            self._defer_rebuild(g, rep, failed_at, origin)
+            self.ledger.defer((g, rep), self._domain_blocked)
+            self.sim.schedule(self.ledger.backoff((g, rep)),
+                              self._retry_rebuild, g, rep, failed_at, origin,
+                              name="rebuild-retry")
             return
-        self._deferred.pop((g, rep), None)
+        self.ledger.deferred.pop((g, rep), None)
         duration = self.workload.time_to_transfer(
             self.block_bytes, self.cfg.recovery_bandwidth, now)
         start = max(now, self.free_at[target])
         completion = start + duration
         self.free_at[target] = completion
-        job = _Job(g=g, rep=rep, target=target, failed_at=failed_at,
-                   event=None, cancelled=False)
-        job.event = self.sim.schedule_at(completion, self._complete, job,
-                                         name="rebuild")
-        self._jobs_by_target.setdefault(target, set()).add(job)
-        self._jobs_by_group.setdefault(g, set()).add(job)
+        self._add_job(g, rep, target, failed_at, completion)
         # Reserve the block on the target immediately so concurrent
         # selections cannot collectively overflow it; _complete keeps the
         # count, cancellation releases it.
@@ -534,44 +444,21 @@ class ReliabilitySimulation:
         if self.telemetry is not None:
             self.telemetry.rebuilds_started.inc()
 
-    def _defer_rebuild(self, g: int, rep: int, failed_at: float,
-                       origin: int) -> None:
-        """Park a rebuild with no admissible target; retry with backoff.
-
-        Mirrors the object engine's deferred queue: counted once per
-        parked block (``rebuilds_deferred``; plus the constraint counter
-        when the domain cap caused it), each attempt counted as a retry.
-        """
-        key = (g, rep)
-        attempts = self._deferred.get(key, 0)
-        if attempts == 0:
-            self.stats.rebuilds_deferred += 1
-            if self._domain_blocked:
-                self.stats.rebuilds_deferred_constraint += 1
-            if self.telemetry is not None:
-                self.telemetry.rebuilds_deferred.inc()
-                if self._domain_blocked:
-                    self.telemetry.rebuilds_deferred_constraint.inc()
-        self._deferred[key] = attempts + 1
-        # Same backoff law as RecoveryManager._arm_retry: pure doubling
-        # with the exponent clamped (~45 days at 16), so thousands of
-        # hopelessly parked blocks on a full shrinking system cannot
-        # dominate the event loop with periodic retries.
-        delay = MINUTE * 2.0 ** min(attempts, 16)
-        self.sim.schedule(delay, self._retry_rebuild, g, rep, failed_at,
-                          origin, name="rebuild-retry")
+    def _add_job(self, g: int, rep: int, target: int, failed_at: float,
+                 completion: float) -> None:
+        """Track an in-flight rebuild completing at ``completion``."""
+        job = _Job(g=g, rep=rep, target=target, failed_at=failed_at,
+                   event=None, cancelled=False)
+        job.event = self.sim.schedule_at(completion, self._complete, job,
+                                         name="rebuild")
+        self._jobs_by_target.setdefault(target, set()).add(job)
+        self._jobs_by_group.setdefault(g, set()).add(job)
 
     def _retry_rebuild(self, g: int, rep: int, failed_at: float,
                        origin: int) -> None:
-        if (g, rep) not in self._deferred:
-            return      # resolved by an earlier retry/redirect
-        if self.lost[g] or self.group_disks[g, rep] != -1:
-            self._deferred.pop((g, rep), None)
-            return
-        self.stats.retries += 1
-        if self.telemetry is not None:
-            self.telemetry.rebuild_retries.inc()
-        self._start_rebuild(g, rep, failed_at, origin)
+        # Stale when an earlier retry/redirect already resolved it.
+        if self.ledger.retry(self, (g, rep)):
+            self._start_rebuild(g, rep, failed_at, origin)
 
     def _admissible(self, d: int, g: int,
                     exclude: set[int] = frozenset()) -> bool:
@@ -692,6 +579,15 @@ class ReliabilitySimulation:
         self._jobs_by_target.get(job.target, set()).discard(job)
         self._jobs_by_group.get(job.g, set()).discard(job)
 
+    def _redirect(self, job: _Job) -> None:
+        """Count a target redirection; restart ``job`` after detection."""
+        self.stats.target_redirections += 1
+        if self.telemetry is not None:
+            self.telemetry.target_redirections.inc()
+        self.sim.schedule(self.cfg.detection_latency, self._start_rebuild,
+                          job.g, job.rep, job.failed_at, job.target,
+                          name="redirect")
+
     def _complete(self, job: _Job) -> None:
         if job.cancelled or self.lost[job.g]:
             return
@@ -701,30 +597,16 @@ class ReliabilitySimulation:
                 (self.group_disks[job.g] == job.target).any():
             # Defensive: redirection/exclusion should have caught this.
             self.used_blocks[job.target] -= 1    # release the reservation
-            self.stats.target_redirections += 1
-            if self.telemetry is not None:
-                self.telemetry.target_redirections.inc()
-            self.sim.schedule(self.cfg.detection_latency,
-                              self._start_rebuild, job.g, job.rep,
-                              job.failed_at, job.target, name="redirect")
+            self._redirect(job)
             return
-        now = self.sim.now
         self.group_disks[job.g, job.rep] = job.target
         self.failed_count[job.g] -= 1
-        if self.failed_count[job.g] == 0:
-            self._degraded -= 1
         # used_blocks[target] was already incremented at reservation time.
         self._dynamic.setdefault(job.target, []).append((job.g, job.rep))
-        self.stats.rebuilds_completed += 1
-        window = now - job.failed_at
-        self.stats.window_total += window
-        self.stats.window_max = max(self.stats.window_max, window)
-        if self.telemetry is not None:
-            self.telemetry.rebuilds_completed.inc()
-            self.telemetry.block_rebuilt(job.g, job.rep, now)
+        if self._rebuild_writes is not None:
             self._rebuild_writes[job.target] += 1
-        if self.failed_count[job.g] == 0:
-            self._note_repaired(job.g, now)
+        self.ledger.completed(job.g, job.rep, job.failed_at, self.sim.now,
+                              self.failed_count[job.g] == 0)
 
     # ------------------------------------------------------------------ #
     # Replacement batches (Figure 7)
@@ -855,28 +737,21 @@ class ReliabilitySimulation:
             bandwidth_cap_bps=cap,
             disks_by_state={"online": n_alive, "failed": total - n_alive},
             degraded_groups=degraded,
-            deferred_rebuilds=len(self._deferred),
+            deferred_rebuilds=self.deferred_outstanding,
             rebuild_load_max=load_max,
             rebuild_load_mean=load_mean,
             bandwidth_by_rack=by_rack)
 
     # ------------------------------------------------------------------ #
-    def _schedule_initial_failures(self) -> None:
-        for d in range(self.N0):
-            t = self.fail_time[d]
-            if t <= self.duration:
-                self.sim.schedule_at(float(t), self._on_disk_failure, d,
-                                     name="disk-failure")
-
     def run(self) -> RecoveryStats:
         """Execute the full lifetime; returns the statistics."""
         if self.telemetry is not None:
             self.telemetry.attach_probes(self.sim, self._telemetry_sample,
                                          until=self.duration)
         if not self._restored:
-            self._schedule_initial_failures()
+            self._schedule_failures(range(self.N0))
         self.sim.run(until=self.duration)
-        self._finalize(self.duration)
+        self.ledger.finalize(self.duration)
         if self.failure_draw is not None:
             self.stats.log_weight = self.failure_draw.log_weight
         return self.stats
@@ -901,10 +776,10 @@ class ReliabilitySimulation:
         self._split_level = level
         self._split_state = None
         if not self._restored:
-            self._schedule_initial_failures()
+            self._schedule_failures(range(self.N0))
         self.sim.run(until=self.duration)
         if self._split_state is None:
-            self._finalize(self.duration)     # horizon reached: close spans
+            self.ledger.finalize(self.duration)   # horizon: close spans
         return self._split_state
 
     def _capture_split(self) -> SplitState:
@@ -937,7 +812,7 @@ class ReliabilitySimulation:
             group_disks=self.group_disks.copy(),
             failed_count=self.failed_count.copy(),
             lost=self.lost.copy(),
-            degraded=self._degraded,
+            degraded=len(self.ledger.degraded_since),
             dynamic={d: list(v) for d, v in self._dynamic.items()},
             spare_for=dict(self._spare_for),
             unreplaced=self._unreplaced,
@@ -946,12 +821,7 @@ class ReliabilitySimulation:
             jobs=jobs,
             detects=detects,
             machine_of=self.topology.assignments(),
-            deferred=sorted((g, rep, a)
-                            for (g, rep), a in self._deferred.items()),
-            lazy_held=sorted((g, rep, fa, o)
-                             for g, held in self._held.items()
-                             for rep, fa, o in held),
-            degraded_since=sorted(self._degraded_since.items()))
+            **self.ledger.capture())
 
     @classmethod
     def from_split_state(cls, config: SystemConfig, state: SplitState,
@@ -987,23 +857,17 @@ class ReliabilitySimulation:
         self.group_disks = state.group_disks.copy()
         self.failed_count = state.failed_count.copy()
         self.lost = state.lost.copy()
-        self._degraded = state.degraded
         self._dynamic = {d: list(v) for d, v in state.dynamic.items()}
         self._spare_for = dict(state.spare_for)
         self._unreplaced = state.unreplaced
         self.groups_lost_ids = list(state.groups_lost_ids)
         self.stats = replace(state.stats)
+        self.ledger.restore(self.stats, state.deferred, state.lazy_held,
+                            state.degraded_since)
         if state.machine_of:
             self.topology = Topology.from_assignments(
                 self.cfg.racks, self.cfg.machines_per_rack,
                 state.machine_of)
-        # Attempt counts survive the restore so a re-deferral on the clone
-        # neither double-counts rebuilds_deferred nor resets the backoff.
-        self._deferred = {(g, rep): a for g, rep, a in state.deferred}
-        self._held = {}
-        for g, rep, fa, o in state.lazy_held:
-            insort(self._held.setdefault(g, []), (rep, fa, o))
-        self._degraded_since = dict(state.degraded_since)
         self._domain_blocked = False
         self._restored = True
 
@@ -1021,23 +885,14 @@ class ReliabilitySimulation:
                 self.streams.rare("clone-failures"), idx.size,
                 current_age=ages_now)
             self.fail_time[idx] = self.deploy_time[idx] + redraw
-            for d in idx:
-                t = self.fail_time[d]
-                if t <= self.duration:
-                    self.sim.schedule_at(float(t), self._on_disk_failure,
-                                         int(d), name="disk-failure")
+            self._schedule_failures(idx)
 
         # Recreate in-flight rebuilds (reservations are already inside the
         # captured used_blocks) and pending detect/redirect events.
         self._jobs_by_target = {}
         self._jobs_by_group = {}
         for g, rep, target, failed_at, completion in state.jobs:
-            job = _Job(g=g, rep=rep, target=target, failed_at=failed_at,
-                       event=None, cancelled=False)
-            job.event = self.sim.schedule_at(completion, self._complete,
-                                             job, name="rebuild")
-            self._jobs_by_target.setdefault(target, set()).add(job)
-            self._jobs_by_group.setdefault(g, set()).add(job)
+            self._add_job(g, rep, target, failed_at, completion)
         for due, g, rep, failed_at, origin in state.detects:
             self.sim.schedule_at(due, self._start_rebuild, g, rep,
                                  failed_at, origin, name="detect")

@@ -7,15 +7,14 @@ Public surface:
 * :class:`~repro.sim.process.Process`, :class:`~repro.sim.process.Timeout`,
   :class:`~repro.sim.process.Signal`, :class:`~repro.sim.process.Interrupt`
   — generator-based process layer.
-* :class:`~repro.sim.resources.SerialServer`,
-  :class:`~repro.sim.resources.Resource` — queueing resources.
+* :class:`~repro.sim.resources.SerialServer` — closed-form FCFS queue.
 * :class:`~repro.sim.rng.RandomStreams` — named reproducible RNG streams.
 """
 
 from .engine import PeriodicTimer, SimulationError, Simulator
 from .events import PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL, Event
 from .process import Interrupt, Process, Signal, Timeout, all_of
-from .resources import Request, Resource, SerialServer
+from .resources import SerialServer
 from .rng import RandomStreams, stable_hash64
 from .trace import TraceRecord, TraceRecorder
 
@@ -23,7 +22,7 @@ __all__ = [
     "Simulator", "SimulationError", "Event", "PeriodicTimer",
     "PRIORITY_HIGH", "PRIORITY_LOW", "PRIORITY_NORMAL",
     "Process", "Timeout", "Signal", "Interrupt", "all_of",
-    "SerialServer", "Resource", "Request",
+    "SerialServer",
     "RandomStreams", "stable_hash64",
     "TraceRecorder", "TraceRecord",
 ]

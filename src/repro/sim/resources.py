@@ -1,29 +1,16 @@
 """Queueing resources for the simulation layer.
 
-Two abstractions are provided:
-
-:class:`SerialServer`
-    A single-server FCFS queue expressed purely in *times*: callers submit a
-    job of a given duration and get back its completion time.  This is the
-    workhorse of the recovery models — e.g. the single spare disk in the
-    traditional RAID baseline serializes all rebuild jobs, and each FARM
-    recovery target serializes jobs directed at it.  Because the reliability
-    simulator only needs completion times (not mid-job state), this
-    closed-form queue is far cheaper than a token-based resource.
-
-:class:`Resource`
-    A capacity-limited resource for the generator-process layer, supporting
-    ``request``/``release`` with FIFO granting.  Used by higher-fidelity
-    models and by the workload module.
+:class:`SerialServer` is a single-server FCFS queue expressed purely in
+*times*: callers submit a job of a given duration and get back its
+completion time.  This is the workhorse of the recovery models — e.g. the
+single spare disk in the traditional RAID baseline serializes all rebuild
+jobs, and each FARM recovery target serializes jobs directed at it.
+Because the reliability simulator only needs completion times (not
+mid-job state), this closed-form queue is far cheaper than a token-based
+resource.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from typing import Deque
-
-from .engine import Simulator
-from .process import Signal
 
 
 class SerialServer:
@@ -66,74 +53,3 @@ class SerialServer:
         self.free_at = 0.0
         self.jobs_served = 0
         self.busy_time = 0.0
-
-
-class Request(Signal):
-    """A pending acquisition of a :class:`Resource` slot (a Signal that
-    triggers when the slot is granted)."""
-
-    def __init__(self, resource: "Resource") -> None:
-        super().__init__(name=f"request:{resource.name}")
-        self.resource = resource
-
-    def release(self) -> None:
-        self.resource.release(self)
-
-
-class Resource:
-    """Capacity-limited resource with FIFO granting for processes.
-
-    >>> from repro.sim.engine import Simulator
-    >>> from repro.sim.process import Process, Timeout
-    >>> sim = Simulator(); res = Resource(sim, capacity=1)
-    >>> order = []
-    >>> def user(tag, hold):
-    ...     req = res.request()
-    ...     yield req
-    ...     order.append((tag, sim.now))
-    ...     yield Timeout(hold)
-    ...     req.release()
-    >>> _ = Process(sim, user('a', 5.0)); _ = Process(sim, user('b', 1.0))
-    >>> sim.run()
-    >>> order
-    [('a', 0.0), ('b', 5.0)]
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1,
-                 name: str = "resource") -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self.in_use = 0
-        self._queue: Deque[Request] = deque()
-
-    def request(self) -> Request:
-        """Ask for a slot; the returned Request triggers when granted."""
-        req = Request(self)
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            req.trigger(req)
-        else:
-            self._queue.append(req)
-        return req
-
-    def release(self, req: Request) -> None:
-        """Return a previously granted slot, waking the next waiter."""
-        if not req.triggered:
-            # Releasing an ungranted request just removes it from the queue.
-            try:
-                self._queue.remove(req)
-            except ValueError:
-                pass
-            return
-        if self._queue:
-            nxt = self._queue.popleft()
-            nxt.trigger(nxt)
-        else:
-            self.in_use -= 1
-
-    @property
-    def queued(self) -> int:
-        return len(self._queue)

@@ -618,12 +618,12 @@ class TestLazyFastEngine:
         sim = ReliabilitySimulation(cfg, seed=3)
         state = sim.run_to_level(2)
         assert state is not None        # one disk degrades many groups
-        assert len(sim._degraded_since) >= 2
-        assert sim._held                # threshold 2 parked the rebuilds
+        assert len(sim.ledger.degraded_since) >= 2
+        assert sim.held_outstanding     # threshold 2 parked the rebuilds
         clone = ReliabilitySimulation.from_split_state(cfg, state,
                                                        clone_seed=99)
-        assert clone._held == sim._held
-        assert clone._degraded_since == sim._degraded_since
+        assert clone.ledger.held == sim.ledger.held
+        assert clone.ledger.degraded_since == sim.ledger.degraded_since
         assert clone.stats.rebuilds_held == sim.stats.rebuilds_held
 
     def test_split_round_trip_preserves_held_and_trajectory(self):

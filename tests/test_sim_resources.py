@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import Process, Resource, SerialServer, Simulator, Timeout
+from repro.sim import SerialServer
 
 
 class TestSerialServer:
@@ -63,78 +63,3 @@ class TestSerialServer:
         for d in durations:
             q.submit(0.0, d)
         assert q.free_at == pytest.approx(sum(durations))
-
-
-class TestResource:
-    def test_capacity_one_serializes(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        order = []
-
-        def user(tag, hold):
-            req = res.request()
-            yield req
-            order.append((tag, sim.now))
-            yield Timeout(hold)
-            req.release()
-
-        Process(sim, user("a", 5.0))
-        Process(sim, user("b", 1.0))
-        sim.run()
-        assert order == [("a", 0.0), ("b", 5.0)]
-
-    def test_capacity_two_admits_pair(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-        order = []
-
-        def user(tag):
-            req = res.request()
-            yield req
-            order.append((tag, sim.now))
-            yield Timeout(2.0)
-            req.release()
-
-        for tag in "abc":
-            Process(sim, user(tag))
-        sim.run()
-        assert order == [("a", 0.0), ("b", 0.0), ("c", 2.0)]
-
-    def test_fifo_granting(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        order = []
-
-        def user(tag):
-            req = res.request()
-            yield req
-            order.append(tag)
-            yield Timeout(1.0)
-            req.release()
-
-        for tag in "abcd":
-            Process(sim, user(tag))
-        sim.run()
-        assert order == list("abcd")
-
-    def test_queued_counter(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        res.request()
-        res.request()
-        res.request()
-        assert res.in_use == 1 and res.queued == 2
-
-    def test_release_ungranted_request_dequeues(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        first = res.request()
-        waiting = res.request()
-        res.release(waiting)          # give up before granted
-        assert res.queued == 0
-        res.release(first)
-        assert res.in_use == 0
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            Resource(Simulator(), capacity=0)

@@ -400,7 +400,7 @@ class TestConstrainedDeferral:
             sim.sim.schedule_at(100.0 + i, sim._on_disk_failure, d)
         sim.sim.run(until=12 * HOUR)
         assert sim.stats.rebuilds_deferred_constraint >= 1
-        assert len(sim._deferred) > 0
+        assert sim.deferred_outstanding > 0
         assert sim.stats.replacement_batches == 0
 
         # A rack-1 failure crosses the 60% threshold: its groups are
@@ -411,7 +411,7 @@ class TestConstrainedDeferral:
                             victim)
         sim.sim.run(until=sim.sim.now + 14 * DAY)
         assert sim.stats.replacement_batches == 1
-        assert len(sim._deferred) == 0
+        assert sim.deferred_outstanding == 0
         assert sim.stats.retries >= 1
         surviving = ~sim.lost
         assert (sim.failed_count[surviving] == 0).all()
