@@ -16,12 +16,9 @@ status=0
 
 # The smoke runs below append perf records to the bench history; point
 # them at a throwaway copy so the committed results/BENCH_sweep.json is
-# never modified, and let the guard judge that copy.  `run bulk` also
-# rewrites its table at the relative path results/bulk-sweep.txt, so it
-# runs from a throwaway directory.
+# never modified, and let the guard judge that copy.
 bench_history="$(mktemp)"
-scratch_dir="$(mktemp -d)"
-trap 'rm -rf "$bench_history" "$scratch_dir"' EXIT
+trap 'rm -f "$bench_history"' EXIT
 cp results/BENCH_sweep.json "$bench_history"
 
 step() {
@@ -57,7 +54,7 @@ step "topology experiment (smoke)" \
   env REPRO_SCALE=smoke REPRO_BENCH_PATH="$bench_history" \
   python -m repro run topology
 step "bulk engine benchmark (smoke, asserts >= 100x over DES baseline)" \
-  env -C "$scratch_dir" REPRO_SCALE=smoke REPRO_BENCH_PATH="$bench_history" \
+  env REPRO_SCALE=smoke REPRO_BENCH_PATH="$bench_history" \
   python -m repro run bulk
 step "availability experiment (smoke, asserts trade-off monotonicity)" \
   env REPRO_SCALE=smoke REPRO_BENCH_PATH="$bench_history" \

@@ -75,13 +75,6 @@ REPRO_PARITY_POLICY = ParityPolicy(
         "repro.disks.disk:Disk.spare_reserve_fraction":
             "standalone object API; StorageSystem plumbs the config "
             "value",
-        # PolicyConfig.use_smart is an ablation knob layered above the
-        # config: the SMART veto it gates is inert unless the system
-        # has a monitor, and the monitor exists only when
-        # SystemConfig.use_smart built one.
-        "repro.core.policy:PolicyConfig.use_smart":
-            "ablation knob; the veto is a no-op without the "
-            "config-gated SMART monitor",
     },
 )
 

@@ -27,7 +27,7 @@ from ..cluster.workload import ConstantWorkload, DiurnalWorkload
 from ..redundancy.group import RedundancyGroup
 from ..sim.engine import Simulator
 from ..telemetry.handle import Telemetry
-from .policy import NoTargetError, PolicyConfig, TargetSelector
+from .policy import PolicyConfig, TargetSelector
 from .recovery import RebuildJob, RecoveryManager
 
 
@@ -45,10 +45,6 @@ class FarmRecovery(RecoveryManager):
             replacement = BatchReplacementPolicy(cfg.replacement_threshold)
         self.replacement = replacement
         self._unreplaced_failures = 0
-        #: Whether the most recent failed _try_start was blocked solely by
-        #: the failure-domain placement cap (drives constrained-deferral
-        #: accounting in _start_if_alive).
-        self._defer_constrained = False
         if cfg.workload_peak_load > 0:
             self.workload = DiurnalWorkload(peak_load=cfg.workload_peak_load)
         else:
@@ -58,36 +54,23 @@ class FarmRecovery(RecoveryManager):
     def _allows_buddy(self) -> bool:
         return not self.selector.policy.forbid_buddy
 
-    def _try_start(self, group: RedundancyGroup, rep_id: int,
-                   failed_at: float, now: float) -> bool:
-        """Start one block rebuild; False defers it (never a silent drop).
-
-        Cannot-start cases: every admissible target is full
-        (:class:`NoTargetError`) or too few source replicas are online
-        (transient outages).  Reading the sources also surfaces any latent
-        errors in them first — which can reveal the group as already dead.
-        """
-        self._defer_constrained = False
-        self._discover_latent_partners(group, rep_id)
-        if group.lost or rep_id not in group.failed:
-            return True     # moot: resolved or lost while we looked
-        sources = self._online_sources(group, rep_id)
-        if not sources:
-            return False    # no readable replica until an outage ends
+    def _start(self, group: RedundancyGroup, rep_id: int, failed_at: float,
+               now: float, sources: tuple[int, ...]) -> bool:
+        """Rebuild onto the §2.3 target; defers when there is none
+        (every candidate full, or vetoed by the failure-domain cap)."""
         cfg = self.config
         # A group may have several rebuilds in flight (m/n schemes); their
         # targets must stay pairwise distinct or two buddies would end up
         # co-located when both complete.
         inflight = frozenset(
             j.target for j in self._jobs_by_group.get(group.grp_id, ()))
-        try:
-            target = self.selector.select(
-                group, cfg.block_bytes, now, self.busy_until,
-                exclude=inflight, reserved=self.reserved_bytes)
-        except NoTargetError as err:
+        target, constrained = self.selector.select(
+            group, cfg.block_bytes, now, self.busy_until,
+            exclude=inflight, reserved=self.reserved_bytes)
+        if target is None:
             # System too full — or every otherwise admissible target vetoed
             # by the domain cap: defer, never violate the constraint.
-            self._defer_constrained = err.constrained
+            self.defer_rebuild(group, rep_id, failed_at, now, constrained)
             return False
         job = RebuildJob(group=group, rep_id=rep_id, target=target,
                          failed_at=failed_at, sources=sources)
@@ -117,10 +100,7 @@ class FarmRecovery(RecoveryManager):
         """Detection fired: begin the rebuild unless the group died since."""
         if group.lost or rep not in group.failed:
             return
-        now = self.sim.now
-        if not self._try_start(group, rep, failed_at, now):
-            self.defer_rebuild(group, rep, failed_at, now,
-                               constrained=self._defer_constrained)
+        self._try_start(group, rep, failed_at, self.sim.now)
 
     def _reschedule(self, job: RebuildJob, now: float) -> None:
         start = now + self.config.detection_latency

@@ -5,8 +5,8 @@ The object engine (:mod:`repro.core.recovery`) and the flat-array engine
 differently, but four decisions around a rebuild are the same in both,
 and :class:`RecoveryLedger` is their one implementation: lazy held
 rebuilds and their most-at-risk-first release, per-group unavailability
-spans, deferral with doubling backoff, and the loss/completion counters
-of :class:`RecoveryStats`.
+spans, deferral with doubling backoff, and the loss, completion,
+redirection and rack-exposure counters of :class:`RecoveryStats`.
 
 State is keyed by group id and ``(grp_id, rep)``.  The engine passes in
 its scalars, and itself as the :class:`LedgerOwner` to consult, so the
@@ -165,6 +165,20 @@ class RecoveryLedger:
         if restored:
             self.repaired(g, now)
 
+    # -- redirection and rack exposure ------------------------------------ #
+    def redirected(self) -> None:
+        """A rebuild lost its target mid-transfer and restarts elsewhere."""
+        self.stats.target_redirections += 1
+        if self.telemetry is not None:
+            self.telemetry.target_redirections.inc()
+
+    def colocated(self, k: int) -> None:
+        """``k`` block losses whose group still holds a live block in
+        the failing disk's rack."""
+        self.stats.domain_colocated_losses += k
+        if self.telemetry is not None:
+            self.telemetry.domain_colocated_losses.inc(k)
+
     # -- deferral ------------------------------------------------------------ #
     def defer(self, key: tuple[int, int], constrained: bool) -> bool:
         """Park rebuild ``key``; True when newly parked (counted once per
@@ -186,6 +200,14 @@ class RecoveryLedger:
         attempts = self.deferred[key]
         self.deferred[key] = attempts + 1
         return RETRY_BASE_S * 2.0 ** min(attempts, RETRY_MAX_DOUBLINGS)
+
+    def started(self, key: tuple[int, int]) -> None:
+        """Rebuild ``key`` started, or no longer needs to: forget it."""
+        self.deferred.pop(key, None)
+
+    def rearm(self, key: tuple[int, int]) -> None:
+        """Restart parked ``key``'s backoff from the base delay."""
+        self.deferred[key] = 0
 
     def retry(self, state: LedgerOwner, key: tuple[int, int]) -> bool:
         """A retry of ``key`` fired.  True (counted) when the rebuild

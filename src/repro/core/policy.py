@@ -12,41 +12,92 @@ S.M.A.R.T. ... we are able to avoid unreliable disks."
 The hard constraints (a)–(c) are always enforced; bandwidth and SMART advice
 are *soft* — applied in a first pass and dropped in a second pass if no
 candidate survives, exactly as the paper describes.
+
+:func:`choose_target` is this rule for both DES engines; each supplies
+its candidates and answers four questions from its own state (admissible?
+inside the rack cap?  preferred?  which disks does the last-resort scan
+cover?).  :func:`within_domain_cap` and :func:`holds_rack` count a group's
+blocks per rack for both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterable
 
 from ..cluster.system import StorageSystem
 from ..placement.base import PlacementError
 from ..redundancy.group import RedundancyGroup
 
+#: How far past a group's ``n`` current locations the object engine
+#: walks its placement candidate list.
+CANDIDATE_WINDOW = 32
+
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Tunable constraints for target selection (ablation knobs)."""
+    """Ablation switches of the target rule (object engine only)."""
 
     forbid_buddy: bool = True       # constraint (b)
-    require_space: bool = True      # constraint (c)
     prefer_idle: bool = True        # soft bandwidth preference
-    use_smart: bool = True          # soft SMART veto (needs a monitor)
-    candidate_window: int = 32      # how deep into the candidate list to look
 
 
-class NoTargetError(RuntimeError):
-    """No disk in the system can accept the new replica.
+def choose_target(candidates: Iterable[int],
+                  admissible: Callable[[int], bool],
+                  within_cap: Callable[[int], bool] | None,
+                  preferred: Callable[[int], bool],
+                  everyone: Iterable[int]) -> tuple[int | None, bool]:
+    """Pick a recovery target: ``(target | None, constrained)``.
 
-    ``constrained`` is True when at least one disk satisfied the paper's
-    hard constraints (a)-(c) but was vetoed solely by the failure-domain
-    placement cap (``SystemConfig.max_chunks_per_domain``): the caller
-    then *defers* the rebuild rather than violating the constraint.
+    Returns the first ``admissible`` candidate inside the cap
+    (``within_cap`` is None when there is none) that is ``preferred``,
+    else the first such candidate, else the first such disk of
+    ``everyone`` (candidates run dry in small or very full systems).
+    ``preferred`` is asked in candidate order, up to its first True: the
+    SMART monitor draws a disk's coin when first asked.  ``constrained``
+    says a cap veto left no target, so the caller defers, never violates.
     """
+    vetoed = False
+    fallback = None
+    for d in candidates:
+        if not admissible(d):
+            continue
+        if within_cap is not None and not within_cap(d):
+            vetoed = True
+            continue
+        if preferred(d):
+            return d, False
+        if fallback is None:
+            fallback = d
+    if fallback is not None:
+        return fallback, False
+    for d in everyone:
+        if not admissible(d):
+            continue
+        if within_cap is not None and not within_cap(d):
+            vetoed = True
+            continue
+        return d, False
+    return None, vetoed
 
-    def __init__(self, message: str, constrained: bool = False) -> None:
-        super().__init__(message)
-        self.constrained = constrained
+
+def within_domain_cap(rack_of: Callable[[int], int],
+                      live_disks: Iterable[int], inflight: Iterable[int],
+                      d: int, limit: int) -> bool:
+    """Would one more block of a group on ``d`` keep it within ``limit``
+    blocks per rack?  Counts the group's live blocks and the targets of
+    its other in-flight rebuilds (``inflight``) already in ``d``'s rack."""
+    rack = rack_of(d)
+    count = sum(1 for dd in live_disks if rack_of(dd) == rack)
+    count += sum(1 for dd in inflight if rack_of(dd) == rack)
+    return count < limit
+
+
+def holds_rack(rack_of: Callable[[int], int], live_disks: Iterable[int],
+               rack: int) -> bool:
+    """Does the group still hold a live block in ``rack``?"""
+    return any(rack_of(d) == rack for d in live_disks)
 
 
 class TargetSelector:
@@ -57,99 +108,41 @@ class TargetSelector:
         self.system = system
         self.policy = policy or PolicyConfig()
 
-    # ------------------------------------------------------------------ #
-    def _admissible(self, disk_id: int, group: RedundancyGroup,
-                    nbytes: float, exclude: frozenset[int],
-                    reserved: Callable[[int], float]) -> bool:
-        """Hard constraints (a)-(c), plus caller-supplied exclusions
-        (targets of the group's other in-flight rebuilds) and space already
-        promised to in-flight rebuilds."""
-        if disk_id in exclude:
-            return False
-        disk = self.system.disks[disk_id]
-        if not disk.online:
-            return False
-        if self.policy.forbid_buddy and group.holds_buddy(disk_id):
-            return False
-        if self.policy.require_space and \
-                disk.free_bytes - reserved(disk_id) < nbytes:
-            return False
-        return True
-
-    def _domain_ok(self, disk_id: int, group: RedundancyGroup,
-                   exclude: frozenset[int]) -> bool:
-        """Failure-domain cap: blocks of one group per rack, counting the
-        targets of the group's other in-flight rebuilds (``exclude``) as
-        already placed.  Always True when the constraint is disabled."""
-        limit = self.system.config.max_chunks_per_domain
-        if limit is None:
-            return True
-        topo = self.system.topology
-        rack = topo.rack_of(disk_id)
-        count = 0
-        for rep, d in enumerate(group.disks):
-            if rep in group.failed or d < 0:
-                continue
-            if topo.rack_of(d) == rack:
-                count += 1
-        for d in exclude:
-            if topo.rack_of(d) == rack:
-                count += 1
-        return count < limit
-
-    def _preferred(self, disk_id: int, now: float,
-                   busy_until: Callable[[int], float]) -> bool:
-        """Soft constraints: bandwidth headroom and SMART health."""
-        if self.policy.prefer_idle and busy_until(disk_id) > now:
-            return False
-        if self.policy.use_smart and self.system.is_suspect(disk_id, now):
-            return False
-        return True
-
     def select(self, group: RedundancyGroup, nbytes: float, now: float,
                busy_until: Callable[[int], float] = lambda d: 0.0,
                exclude: frozenset[int] = frozenset(),
-               reserved: Callable[[int], float] = lambda d: 0.0) -> int:
-        """Pick the recovery target for a lost block of ``group``.
-
-        Walks the group's candidate list beyond its current n locations,
-        first honouring the soft constraints, then relaxing them ("if there
-        is no better alternative, we will stick to it").  Raises
-        :class:`NoTargetError` only if no disk in the entire system
-        satisfies the hard constraints.
-        """
-        window = group.scheme.n + self.policy.candidate_window
+               reserved: Callable[[int], float] = lambda d: 0.0
+               ) -> tuple[int | None, bool]:
+        """:func:`choose_target` over ``group``'s candidate list.
+        ``exclude`` holds the targets of the group's other in-flight
+        rebuilds, ``reserved`` the space promised to in-flight rebuilds."""
+        system, policy = self.system, self.policy
+        placement = system.placement
         try:
-            candidates = self.system.placement.candidates(
-                group.grp_id, min(window, self.system.placement.n_disks))
+            candidates = placement.candidates(group.grp_id, min(
+                group.scheme.n + CANDIDATE_WINDOW, placement.n_disks))
         except PlacementError:
-            candidates = self.system.placement.candidates(
-                group.grp_id, self.system.placement.n_disks)
-        blocked_by_domain = False
-        admissible = []
-        for d in candidates:
-            if not self._admissible(d, group, nbytes, exclude, reserved):
-                continue
-            if not self._domain_ok(d, group, exclude):
-                blocked_by_domain = True
-                continue
-            admissible.append(d)
-        for disk_id in admissible:
-            if self._preferred(disk_id, now, busy_until):
-                return disk_id
-        if admissible:
-            return admissible[0]
-        # Candidate list exhausted (possible in small or very full systems):
-        # fall back to a linear scan so recovery degrades gracefully instead
-        # of dropping redundancy.
-        for disk in self.system.disks:
-            if not self._admissible(disk.disk_id, group, nbytes, exclude,
-                                    reserved):
-                continue
-            if not self._domain_ok(disk.disk_id, group, exclude):
-                blocked_by_domain = True
-                continue
-            return disk.disk_id
-        raise NoTargetError(
-            f"no admissible recovery target for group {group.grp_id}",
-            constrained=blocked_by_domain)
+            candidates = placement.candidates(group.grp_id,
+                                              placement.n_disks)
+        disks = system.disks
+
+        def admissible(d: int) -> bool:
+            disk = disks[d]
+            return (d not in exclude and disk.online
+                    and not (policy.forbid_buddy and group.holds_buddy(d))
+                    and disk.free_bytes - reserved(d) >= nbytes)
+
+        def preferred(d: int) -> bool:
+            if policy.prefer_idle and busy_until(d) > now:
+                return False
+            return not system.is_suspect(d, now)
+
+        limit = system.config.max_chunks_per_domain
+        within_cap = None
+        if limit is not None:
+            live = [d for rep, d in enumerate(group.disks)
+                    if rep not in group.failed and d >= 0]
+            within_cap = partial(within_domain_cap, system.topology.rack_of,
+                                 live, exclude, limit=limit)
+        return choose_target(candidates, admissible, within_cap, preferred,
+                             (disk.disk_id for disk in disks))

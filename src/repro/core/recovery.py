@@ -39,6 +39,7 @@ from ..sim.resources import SerialServer
 from ..telemetry.handle import Telemetry
 from ..telemetry.probes import ProbeSample
 from .ledger import LedgerOwner, RecoveryLedger
+from .policy import holds_rack
 
 
 @dataclass
@@ -260,12 +261,10 @@ class RecoveryManager(LedgerOwner):
             for group, reps in affected:
                 if not reps:
                     continue
-                if any(r not in group.failed and d >= 0
-                       and topo.rack_of(d) == rack
-                       for r, d in enumerate(group.disks)):
-                    self.stats.domain_colocated_losses += len(reps)
-                    if tele is not None:
-                        tele.domain_colocated_losses.inc(len(reps))
+                live = (d for r, d in enumerate(group.disks)
+                        if r not in group.failed and d >= 0)
+                if holds_rack(topo.rack_of, live, rack):
+                    self.ledger.colocated(len(reps))
 
         # Jobs whose *target* just died: pick another target (paper §2.3,
         # "we merely choose an alternative target") — recovery redirection.
@@ -329,9 +328,7 @@ class RecoveryManager(LedgerOwner):
 
     def _redirect(self, job: RebuildJob, now: float) -> None:
         """Count a target redirection and restart ``job``."""
-        self.stats.target_redirections += 1
-        if self.telemetry is not None:
-            self.telemetry.target_redirections.inc()
+        self.ledger.redirected()
         self._reschedule(job, now)
 
     def _group_lost(self, group: RedundancyGroup, now: float) -> None:
@@ -399,7 +396,8 @@ class RecoveryManager(LedgerOwner):
     def defer_rebuild(self, group: RedundancyGroup, rep_id: int,
                       failed_at: float, now: float,
                       constrained: bool = False) -> None:
-        """Park a rebuild that cannot start; retry with capped backoff.
+        """Park a rebuild that cannot start — or, already parked, arm its
+        next retry — with the ledger's doubling backoff.
 
         Replaces the old silent-drop behaviour: the group stays visibly
         degraded (``stats.rebuilds_deferred``, a ``rebuild-deferred`` trace
@@ -412,10 +410,7 @@ class RecoveryManager(LedgerOwner):
             self._deferred[key] = DeferredRebuild(group=group, rep_id=rep_id,
                                                   failed_at=failed_at)
             self._trace_marker("rebuild-deferred")
-        self._arm_retry(key, self._deferred[key])
-
-    def _arm_retry(self, key: tuple[int, int],
-                   entry: DeferredRebuild) -> None:
+        entry = self._deferred[key]
         if entry.event is not None:
             entry.event.cancel()
         entry.event = self.sim.schedule(self.ledger.backoff(key),
@@ -427,9 +422,8 @@ class RecoveryManager(LedgerOwner):
         if self.ledger.retry(self, key):
             if not self._try_start(entry.group, entry.rep_id,
                                    entry.failed_at, self.sim.now):
-                self._arm_retry(key, entry)     # the backoff keeps growing
-                return
-            del self.ledger.deferred[key]       # started
+                return      # parked again: the backoff keeps growing
+            self.ledger.started(key)
         del self._deferred[key]
 
     def rearm_deferred(self) -> int:
@@ -450,7 +444,7 @@ class RecoveryManager(LedgerOwner):
         for key, entry in entries:
             if entry.event is not None:
                 entry.event.cancel()
-            self.ledger.deferred[key] = 0
+            self.ledger.rearm(key)
             entry.event = self.sim.schedule(0.0, self._retry_deferred, key,
                                             name="rebuild-retry")
         return len(self._deferred)
@@ -492,6 +486,26 @@ class RecoveryManager(LedgerOwner):
                 continue
             if self.system.has_latent_error(disk_id, group.grp_id, rep):
                 self.discover_latent(disk_id, group.grp_id, rep)
+
+    def _try_start(self, group: RedundancyGroup, rep_id: int,
+                   failed_at: float, now: float) -> bool:
+        """Attempt to start (or re-start) one block rebuild.
+
+        Returns True when the rebuild was started or is moot (group lost /
+        block already rebuilt); False when it cannot run right now and was
+        parked with :meth:`defer_rebuild` — never a silent drop.  Reading
+        the sources first surfaces any latent errors in them, which can
+        reveal the group as already dead.
+        """
+        self._discover_latent_partners(group, rep_id)
+        if group.lost or rep_id not in group.failed:
+            return True     # moot: resolved or lost while we looked
+        sources = self._online_sources(group, rep_id)
+        if not sources:
+            # No readable replica until an outage ends.
+            self.defer_rebuild(group, rep_id, failed_at, now)
+            return False
+        return self._start(group, rep_id, failed_at, now, sources)
 
     # -- transient outages --------------------------------------------------- #
     def on_disk_offline(self, disk_id: int) -> None:
@@ -634,14 +648,11 @@ class RecoveryManager(LedgerOwner):
         """Restart a job whose target died mid-rebuild."""
 
     @abstractmethod
-    def _try_start(self, group: RedundancyGroup, rep_id: int,
-                   failed_at: float, now: float) -> bool:
-        """Attempt to start (or re-start) one block rebuild.
-
-        Returns True when the rebuild was started or is moot (group lost /
-        block already rebuilt); False when it cannot run right now and
-        should be deferred.  Must never raise for want of a target.
-        """
+    def _start(self, group: RedundancyGroup, rep_id: int, failed_at: float,
+               now: float, sources: tuple[int, ...]) -> bool:
+        """Start the rebuild reading ``sources`` on a scheme-chosen
+        target; False when it was parked with :meth:`defer_rebuild`.
+        Must never raise for want of a target."""
 
     def _after_failure(self, disk_id: int, now: float) -> None:
         """Hook for replacement policies; default does nothing."""

@@ -83,20 +83,10 @@ class TraditionalRecovery(RecoveryManager):
         return alt
 
     # -- RecoveryManager hooks -------------------------------------------- #
-    def _try_start(self, group: RedundancyGroup, rep_id: int,
-                   failed_at: float, now: float) -> bool:
-        """Queue one block onto the failed disk's spare; False defers it.
-
-        The spare is provisioned on demand so a target always exists; the
-        only cannot-start case is that too few source replicas are online
-        (transient outages).  Reading the sources surfaces latent errors.
-        """
-        self._discover_latent_partners(group, rep_id)
-        if group.lost or rep_id not in group.failed:
-            return True     # moot: resolved or lost while we looked
-        sources = self._online_sources(group, rep_id)
-        if not sources:
-            return False    # no readable replica until an outage ends
+    def _start(self, group: RedundancyGroup, rep_id: int, failed_at: float,
+               now: float, sources: tuple[int, ...]) -> bool:
+        """Queue one block onto the failed disk's spare, provisioned on
+        demand so a target always exists."""
         # The block's recorded location is still the disk it failed on, so
         # late losses of one disk's data share that disk's spare queue.
         failed_disk = group.disks[rep_id]
@@ -109,8 +99,7 @@ class TraditionalRecovery(RecoveryManager):
                       failed_at: float, now: float) -> None:
         """Queue on the spare now, keeping the block's original failure
         time (earlier than ``now`` after a lazy release) for windows."""
-        if not self._try_start(group, rep_id, failed_at, now):
-            self.defer_rebuild(group, rep_id, failed_at, now)
+        self._try_start(group, rep_id, failed_at, now)
 
     def _reschedule(self, job: RebuildJob, now: float) -> None:
         """The spare died or went offline: restart the block elsewhere.
@@ -121,5 +110,4 @@ class TraditionalRecovery(RecoveryManager):
         """
         if job.group.lost or job.rep_id not in job.group.failed:
             return
-        if not self._try_start(job.group, job.rep_id, job.failed_at, now):
-            self.defer_rebuild(job.group, job.rep_id, job.failed_at, now)
+        self._try_start(job.group, job.rep_id, job.failed_at, now)

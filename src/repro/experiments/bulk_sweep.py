@@ -15,16 +15,15 @@ recovery bandwidths) twice on the same process pool:
   scale's run budget per point (the whole reason the engine exists).
 
 It asserts the bulk leg's aggregate ``runs_per_s`` is at least
-:data:`MIN_SPEEDUP` times the baseline's, writes the per-point table to
-``results/bulk-sweep.txt``, and appends a combined record (with a
+:data:`MIN_SPEEDUP` times the baseline's, renders the per-point table
+(saved as ``DIR/bulk-sweep.txt`` by ``python -m repro run bulk --out
+DIR``), and appends a combined record (with a
 ``bulk_comparison`` block carrying both legs' throughputs and the
 measured speedup) to the ``BENCH_sweep.json`` history, where
 ``scripts/bench_guard.py`` watches it for regressions.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 from ..reliability.runner import (BENCH_SCHEMA, PointSpec, SweepRunner,
                                   append_bench_record, bench_run_id,
@@ -49,12 +48,8 @@ BULK_RUNS_FACTOR = 25
 #: clock.
 BASELINE_RUNS_CAP = 4
 
-#: Where the rendered per-point table goes.
-DEFAULT_TEXT_PATH = Path("results") / "bulk-sweep.txt"
 
-
-def run(scale: Scale | None = None, base_seed: int = 0,
-        text_path: Path | None = DEFAULT_TEXT_PATH) -> ExperimentResult:
+def run(scale: Scale | None = None, base_seed: int = 0) -> ExperimentResult:
     scale = scale or current_scale()
     # Both legs share one pool size so the speedup is an apples-to-apples
     # throughput ratio; a serial scale still benchmarks on 2 workers
@@ -117,10 +112,6 @@ def run(scale: Scale | None = None, base_seed: int = 0,
         f"{MIN_SPEEDUP:g}x (bulk {bulk_rps:.0f} runs/s vs baseline "
         f"{base_rps:.1f} runs/s on {jobs} workers)")
 
-    text = result.render() + "\n"
-    if text_path is not None:
-        text_path.parent.mkdir(parents=True, exist_ok=True)
-        text_path.write_text(text)
     _write_bench(scale, jobs, base_seed, base_record, bulk_record, speedup)
     return result
 

@@ -15,9 +15,9 @@ estimators at the **same run budget**:
 
 It asserts the headline claim of the acceleration subsystem — the IS 95%
 interval is at least :data:`MIN_CI_NARROWING` times narrower than the
-naive one at equal budget — writes the comparison table to
-``results/rare-sweep.txt``, and records the widths in the
-``BENCH_sweep.json`` perf record.  The global tilt only *helps* while the
+naive one at equal budget — renders the comparison table (saved as
+``DIR/rare-sweep.txt`` by ``python -m repro run rare --out DIR``), and
+records the widths in the ``BENCH_sweep.json`` perf record.  The global tilt only *helps* while the
 expected failure count is small; ``docs/RARE_EVENTS.md`` derives why (and
 why splitting is the tool once systems grow).
 """
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import time
-from pathlib import Path
 
 from ..config import SystemConfig
 from ..reliability.montecarlo import MonteCarloResult, estimate_p_loss
@@ -57,9 +56,6 @@ N_RUNS = 400
 #: than naive MC at equal budget (measured ~12x at seed 0).
 MIN_CI_NARROWING = 5.0
 
-#: Where the rendered comparison table goes.
-DEFAULT_TEXT_PATH = Path("results") / "rare-sweep.txt"
-
 
 def scenario_config() -> SystemConfig:
     """The base FARM scenario reduced to the rare regime.
@@ -81,8 +77,7 @@ def _width(result: MonteCarloResult) -> float:
 
 
 def run(scale: Scale | None = None, base_seed: int = 0,
-        n_runs: int = N_RUNS,
-        text_path: Path | None = DEFAULT_TEXT_PATH) -> ExperimentResult:
+        n_runs: int = N_RUNS) -> ExperimentResult:
     scale = scale or current_scale()
     cfg = scenario_config()
     t0 = time.time()
@@ -137,10 +132,6 @@ def run(scale: Scale | None = None, base_seed: int = 0,
         f"{MIN_CI_NARROWING:g}x (naive width {_width(naive):.5f}, "
         f"IS width {_width(is_res):.5f})")
 
-    text = result.render() + "\n"
-    if text_path is not None:
-        text_path.parent.mkdir(parents=True, exist_ok=True)
-        text_path.write_text(text)
     _write_bench(cfg, n_runs, base_seed, naive, is_res, split_mc,
                  narrowing)
     return result

@@ -21,7 +21,8 @@ Mechanics per run:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Protocol
+from functools import partial
+from typing import Callable, Collection, Iterable, Iterator, Protocol
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from ..cluster.topology import Topology, enforce_domain_constraint
 from ..cluster.workload import ConstantWorkload, DiurnalWorkload
 from ..config import SystemConfig
 from ..core.ledger import LedgerOwner, RecoveryLedger
+from ..core.policy import choose_target, holds_rack, within_domain_cap
 from ..core.recovery import RecoveryStats
 from ..placement.copyset import CopysetPlacement
 from ..placement.hashing import hash_unit
@@ -245,10 +247,6 @@ class ReliabilitySimulation(LedgerOwner):
         self._unreplaced = 0
         self._target_rng = self.streams.get("targets")
         self.groups_lost_ids: list[int] = []
-        #: Whether the most recent admissibility sweep rejected at least
-        #: one target solely on the failure-domain cap (so a resulting
-        #: deferral is counted as constraint-caused).
-        self._domain_blocked = False
 
     def _sample_failure_ages(self, rng: np.random.Generator, size: int,
                              horizon_age: float) -> np.ndarray:
@@ -352,10 +350,9 @@ class ReliabilitySimulation(LedgerOwner):
             self.group_disks[g, rep] = -1
             if self.lost[g]:
                 continue
-            if track_domains and self._live_in_rack(g, rack):
-                self.stats.domain_colocated_losses += 1
-                if tele is not None:
-                    tele.domain_colocated_losses.inc()
+            if track_domains and holds_rack(topo.rack_of,
+                                            self._live_disks(g), rack):
+                self.ledger.colocated(1)
             self.failed_count[g] += 1
             if self.failed_count[g] > self.tol:
                 self.lost[g] = True
@@ -407,15 +404,15 @@ class ReliabilitySimulation(LedgerOwner):
     def _start_rebuild(self, g: int, rep: int, failed_at: float,
                        origin: int) -> None:
         if not self.awaits_rebuild(g, rep):
-            self.ledger.deferred.pop((g, rep), None)
+            self.ledger.started((g, rep))
             return
         now = self.sim.now
-        self._domain_blocked = False
+        constrained = False
         if self.cfg.use_farm:
             # Exclude targets of the group's other in-flight rebuilds so
             # two buddies never land on one disk.
             inflight = {j.target for j in self._jobs_by_group.get(g, ())}
-            target = self._pick_farm_target(g, now, inflight)
+            target, constrained = self._pick_farm_target(g, now, inflight)
         else:
             target = self._pick_spare_target(g, origin, now)
         if target is None:
@@ -424,12 +421,12 @@ class ReliabilitySimulation(LedgerOwner):
             # exponential backoff — never drop, never violate.
             if self.telemetry is not None:
                 self.telemetry.rebuilds_unplaced.inc()
-            self.ledger.defer((g, rep), self._domain_blocked)
+            self.ledger.defer((g, rep), constrained)
             self.sim.schedule(self.ledger.backoff((g, rep)),
                               self._retry_rebuild, g, rep, failed_at, origin,
                               name="rebuild-retry")
             return
-        self.ledger.deferred.pop((g, rep), None)
+        self.ledger.started((g, rep))
         duration = self.workload.time_to_transfer(
             self.block_bytes, self.cfg.recovery_bandwidth, now)
         start = max(now, self.free_at[target])
@@ -460,65 +457,42 @@ class ReliabilitySimulation(LedgerOwner):
         if self.ledger.retry(self, (g, rep)):
             self._start_rebuild(g, rep, failed_at, origin)
 
-    def _admissible(self, d: int, g: int,
-                    exclude: set[int] = frozenset()) -> bool:
-        if (d in exclude
-                or not self.alive[d]
-                or self.used_blocks[d] >= self.capacity_blocks
-                or (self.group_disks[g] == d).any()):
-            return False
-        if self._domain_limit is not None \
-                and not self._domain_ok(d, g, exclude):
-            self._domain_blocked = True
-            return False
-        return True
+    def _live_disks(self, g: int) -> list[int]:
+        """Disks holding the live blocks of group ``g``."""
+        return [d for d in self.group_disks[g].tolist() if d >= 0]
 
-    def _domain_ok(self, d: int, g: int, exclude: set[int]) -> bool:
-        """Would placing a block of ``g`` on ``d`` stay within the
-        per-rack cap?  Counts the group's live blocks plus in-flight
-        rebuild targets (``exclude``) already in ``d``'s rack."""
-        topo = self.topology
-        rack = topo.rack_of(d)
-        count = 0
-        for dd in self.group_disks[g]:
-            dd = int(dd)
-            if dd >= 0 and topo.rack_of(dd) == rack:
-                count += 1
-        for dd in exclude:
-            if dd != d and topo.rack_of(int(dd)) == rack:
-                count += 1
-        return count < self._domain_limit
+    def _can_hold(self, row: list[int], inflight: Collection[int],
+                  d: int) -> bool:
+        """Hard constraints (a)-(c) for a block of the group whose disks
+        are ``row`` on ``d``: alive, room, no buddy, and no other
+        in-flight rebuild of the group there."""
+        return not (d in inflight or d in row
+                    or not self.alive[d]
+                    or self.used_blocks[d] >= self.capacity_blocks)
 
-    def _live_in_rack(self, g: int, rack: int) -> bool:
-        """Does group ``g`` still hold a live block in ``rack``?"""
-        topo = self.topology
-        for dd in self.group_disks[g]:
-            dd = int(dd)
-            if dd >= 0 and topo.rack_of(dd) == rack:
-                return True
-        return False
+    def _within_cap(self, row: list[int], inflight: Collection[int]
+                    ) -> Callable[[int], bool] | None:
+        """The failure-domain cap test for a block of the group whose
+        disks are ``row`` (None when no cap is configured)."""
+        if self._domain_limit is None:
+            return None
+        return partial(within_domain_cap, self.topology.rack_of,
+                       [d for d in row if d >= 0], inflight,
+                       limit=self._domain_limit)
 
-    def _pick_farm_target(self, g: int, now: float,
-                          exclude: set[int] = frozenset()) -> int | None:
-        """Rejection-sample the candidate list: alive, space, no buddy;
-        prefer recovery-idle disks, then relax (paper §2.3)."""
-        rng = self._target_rng
-        probes = rng.integers(0, self.total_disks, size=24)
-        fallback = -1
-        for d in probes:
-            d = int(d)
-            if not self._admissible(d, g, exclude):
-                continue
-            if self.free_at[d] <= now and not self._smart_suspect(d, now):
-                return d
-            if fallback < 0:
-                fallback = d
-        if fallback >= 0:
-            return fallback
-        for d in range(self.total_disks):       # degenerate small systems
-            if self._admissible(d, g, exclude):
-                return d
-        return None
+    def _pick_farm_target(self, g: int, now: float, inflight: set[int]
+                          ) -> tuple[int | None, bool]:
+        """The paper's §2.3 rule over 24 uniform probes: the candidate
+        list entries are uniform hashes, so rejection sampling draws from
+        the same distribution.  Prefers recovery-idle, SMART-clean disks."""
+        probes = self._target_rng.integers(0, self.total_disks, size=24)
+        row = self.group_disks[g].tolist()
+        return choose_target(
+            probes.tolist(), partial(self._can_hold, row, inflight),
+            self._within_cap(row, inflight),
+            lambda d: self.free_at[d] <= now
+            and not self._smart_suspect(d, now),
+            range(self.total_disks))
 
     def _smart_suspect(self, d: int, now: float) -> bool:
         """SMART veto, mirroring :class:`~repro.disks.smart.SmartMonitor`:
@@ -558,8 +532,10 @@ class ReliabilitySimulation(LedgerOwner):
                 self.telemetry.spares_provisioned.inc()
         if (self.group_disks[g] == spare).any():
             over = self._spare_for.get(~origin, -1)
-            if over < 0 or not self.alive[over] or \
-                    not self._admissible(over, g):
+            row = self.group_disks[g].tolist()
+            within_cap = self._within_cap(row, ())
+            if over < 0 or not self._can_hold(row, (), over) or (
+                    within_cap is not None and not within_cap(over)):
                 over = int(self._new_disks(1, now, slot=origin)[0])
                 self._spare_for[~origin] = over
                 if self.telemetry is not None:
@@ -581,9 +557,7 @@ class ReliabilitySimulation(LedgerOwner):
 
     def _redirect(self, job: _Job) -> None:
         """Count a target redirection; restart ``job`` after detection."""
-        self.stats.target_redirections += 1
-        if self.telemetry is not None:
-            self.telemetry.target_redirections.inc()
+        self.ledger.redirected()
         self.sim.schedule(self.cfg.detection_latency, self._start_rebuild,
                           job.g, job.rep, job.failed_at, job.target,
                           name="redirect")
@@ -868,7 +842,6 @@ class ReliabilitySimulation(LedgerOwner):
             self.topology = Topology.from_assignments(
                 self.cfg.racks, self.cfg.machines_per_rack,
                 state.machine_of)
-        self._domain_blocked = False
         self._restored = True
 
         # Future randomness comes from the clone's stream set; the root

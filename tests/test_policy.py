@@ -4,7 +4,8 @@ import pytest
 
 from repro.cluster import StorageSystem
 from repro.config import SystemConfig
-from repro.core import NoTargetError, PolicyConfig, TargetSelector
+from repro.core import PolicyConfig, TargetSelector
+from repro.core.policy import CANDIDATE_WINDOW, choose_target
 from repro.sim import RandomStreams
 from repro.units import GB, TB
 
@@ -25,7 +26,7 @@ class TestHardConstraints:
         selector = TargetSelector(system)
         group = system.groups[0]
         nbytes = system.config.block_bytes
-        target = selector.select(group, nbytes, now=0.0)
+        target, _ = selector.select(group, nbytes, now=0.0)
         assert system.disks[target].online
         assert not group.holds_buddy(target)
         assert system.disks[target].free_bytes >= nbytes
@@ -34,16 +35,16 @@ class TestHardConstraints:
         selector = TargetSelector(system)
         group = system.groups[0]
         nbytes = system.config.block_bytes
-        first = selector.select(group, nbytes, now=0.0)
+        first, _ = selector.select(group, nbytes, now=0.0)
         system.fail_disk(first, now=1.0)
-        second = selector.select(group, nbytes, now=1.0)
+        second, _ = selector.select(group, nbytes, now=1.0)
         assert second != first and system.disks[second].online
 
     def test_buddy_disks_never_selected(self, system):
         selector = TargetSelector(system)
         nbytes = system.config.block_bytes
         for group in system.groups[:50]:
-            target = selector.select(group, nbytes, now=0.0)
+            target, _ = selector.select(group, nbytes, now=0.0)
             assert target not in group.disks
 
     def test_full_disks_skipped(self, system):
@@ -55,16 +56,17 @@ class TestHardConstraints:
         for disk in system.disks:
             if disk.disk_id != keep:
                 disk.used_bytes = disk.capacity_bytes
-        target = selector.select(group, system.config.block_bytes, now=0.0)
+        target, _ = selector.select(group, system.config.block_bytes, now=0.0)
         assert target == keep
 
     def test_no_target_raises(self, system):
+        """A full system yields no target; no rack cap, so unconstrained."""
         selector = TargetSelector(system)
         group = system.groups[0]
         for disk in system.disks:
             disk.used_bytes = disk.capacity_bytes
-        with pytest.raises(NoTargetError):
-            selector.select(group, system.config.block_bytes, now=0.0)
+        assert selector.select(group, system.config.block_bytes,
+                               now=0.0) == (None, False)
 
 
 class TestSoftConstraints:
@@ -72,11 +74,11 @@ class TestSoftConstraints:
         selector = TargetSelector(system)
         group = system.groups[0]
         nbytes = system.config.block_bytes
-        preferred = selector.select(group, nbytes, now=0.0)
+        preferred, _ = selector.select(group, nbytes, now=0.0)
         # Make the preferred candidate busy: selection must move on...
         busy = {preferred: 100.0}
-        second = selector.select(group, nbytes, now=0.0,
-                                 busy_until=lambda d: busy.get(d, 0.0))
+        second, _ = selector.select(group, nbytes, now=0.0,
+                                    busy_until=lambda d: busy.get(d, 0.0))
         assert second != preferred
 
     def test_sticks_with_busy_target_when_all_busy(self, system):
@@ -85,20 +87,27 @@ class TestSoftConstraints:
         selector = TargetSelector(system)
         group = system.groups[0]
         nbytes = system.config.block_bytes
-        target = selector.select(group, nbytes, now=0.0,
-                                 busy_until=lambda d: 1e9)
+        target, _ = selector.select(group, nbytes, now=0.0,
+                                    busy_until=lambda d: 1e9)
         assert system.disks[target].online
 
     def test_policy_flags_can_disable_constraints(self, system):
-        policy = PolicyConfig(forbid_buddy=False, require_space=False,
-                              prefer_idle=False, use_smart=False)
-        selector = TargetSelector(system, policy)
         group = system.groups[0]
+        nbytes = system.config.block_bytes
+        # Without the idle preference a busy first choice is kept.
+        first, _ = TargetSelector(system).select(group, nbytes, now=0.0)
+        no_idle = TargetSelector(system, PolicyConfig(prefer_idle=False))
+        assert no_idle.select(group, nbytes, now=0.0,
+                              busy_until=lambda d: 1e9) == (first, False)
+        # With the buddy check off, a buddy disk is acceptable.
         for disk in system.disks:
-            disk.used_bytes = disk.capacity_bytes
-        # With space checks off, a full disk is acceptable.
-        target = selector.select(group, system.config.block_bytes, now=0.0)
-        assert system.disks[target].online
+            if disk.disk_id not in group.disks:
+                disk.used_bytes = disk.capacity_bytes
+        assert TargetSelector(system).select(group, nbytes,
+                                             now=0.0) == (None, False)
+        buddies = TargetSelector(system, PolicyConfig(forbid_buddy=False))
+        target, _ = buddies.select(group, nbytes, now=0.0)
+        assert target in group.disks
 
 
 class TestCandidateOrigin:
@@ -109,7 +118,58 @@ class TestCandidateOrigin:
         group = system.groups[5]
         candidates = system.placement.candidates(
             group.grp_id,
-            min(len(system.disks),
-                group.scheme.n + selector.policy.candidate_window))
-        target = selector.select(group, system.config.block_bytes, now=0.0)
+            min(len(system.disks), group.scheme.n + CANDIDATE_WINDOW))
+        target, _ = selector.select(group, system.config.block_bytes,
+                                    now=0.0)
         assert target in candidates
+
+
+class TestChooseTarget:
+    """The §2.3 walk shared by both engines, on plain disk ids."""
+
+    def test_later_preferred_beats_earlier_admissible(self):
+        assert choose_target([1, 2, 3], lambda d: True, None,
+                             lambda d: d == 3, []) == (3, False)
+
+    def test_relaxation_returns_first_admissible(self):
+        assert choose_target([1, 2, 3, 4], lambda d: d >= 2, None,
+                             lambda d: False, [9]) == (2, False)
+
+    def test_full_scan_only_when_candidates_yield_nothing(self):
+        scans = []
+
+        def everyone():
+            scans.append("scan")
+            yield from range(10)
+
+        assert choose_target([1, 2], lambda d: d == 2, None,
+                             lambda d: False, everyone()) == (2, False)
+        assert scans == []
+        assert choose_target([1, 2], lambda d: d == 7, None,
+                             lambda d: True, everyone()) == (7, False)
+        assert scans == ["scan"]
+
+    def test_constrained_only_when_vetoed_and_nothing_found(self):
+        capped = choose_target([1, 2], lambda d: True, lambda d: d != 1,
+                               lambda d: True, [])
+        assert capped == (2, False)     # vetoed 1, but found 2
+        assert choose_target([1, 2], lambda d: True, lambda d: False,
+                             lambda d: True, [3]) == (None, True)
+        assert choose_target([1, 2], lambda d: False, lambda d: False,
+                             lambda d: True, [3]) == (None, False)
+        assert choose_target([], lambda d: d == 3, lambda d: d != 3,
+                             lambda d: True, [3]) == (None, True)
+
+    def test_preferred_asked_in_order_on_admissible_in_cap_only(self):
+        """SMART draws a disk's coin on first ask: the walk must ask only
+        admissible, in-cap candidates, in order, up to the first True."""
+        asked = []
+
+        def preferred(d):
+            asked.append(d)
+            return d == 5
+
+        target = choose_target([1, 2, 3, 4, 5, 6, 5], lambda d: d != 2,
+                               lambda d: d != 3, preferred, range(10))
+        assert target == (5, False)
+        assert asked == [1, 4, 5]

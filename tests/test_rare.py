@@ -280,9 +280,7 @@ class TestRareSweepExperiment:
 
         bench = tmp_path / "BENCH_sweep.json"
         monkeypatch.setenv("REPRO_BENCH_PATH", str(bench))
-        text = tmp_path / "rare-sweep.txt"
-        result = rare_sweep.run(text_path=text)
-        assert text.exists()
+        result = rare_sweep.run()
         [record] = read_bench_records(bench)
         cmp_ = record["rare_comparison"]
         assert cmp_["ci_narrowing"] >= rare_sweep.MIN_CI_NARROWING
